@@ -239,6 +239,11 @@ class IssBackend(CostBackend):
         the runs out.
         """
         import zlib
+        # The shifts have no custom instruction: like characterization
+        # (its ``mpn_base`` family), price them on the base kernels at
+        # any widths.
+        if routine in ("mpn_lshift", "mpn_rshift"):
+            add_width = mac_width = 0
         kernels = self._mpn_kernels(add_width, mac_width)
         prng = DeterministicPrng(self.seed ^ zlib.crc32(routine.encode()))
         limbs = int(n)

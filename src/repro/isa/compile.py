@@ -1,29 +1,32 @@
 """Threaded-code compiler for the XT32 instruction-set simulator.
 
-The interpreter in :mod:`repro.isa.machine` re-decodes every
-instruction on every execution: one trip through a ~35-way if/elif
-chain, tuple indexing for operands, an immediate re-mask, a dcache
-presence test, and dict updates per step.  This module removes all of
-that by *predecoding*.  :func:`compile_program` translates an
-assembled :class:`~repro.isa.assembler.Program` once into two layers:
+The interpreter (:meth:`repro.isa.machine.Machine.interpret`)
+re-decodes every instruction on every execution: one trip through a
+~35-way if/elif chain, tuple indexing for operands, an immediate
+re-mask, a dcache presence test, and dict updates per step.
+:meth:`~repro.isa.machine.Machine.run` avoids all of that by
+*predecoding*: :func:`compile_program` translates an assembled
+:class:`~repro.isa.assembler.Program` once into threaded code -- one
+generated Python function per straight-line run, with operand
+indices, masked immediates, cycle costs, branch targets, extension
+semantics, and zero-register handling inlined, returning the next pc:
 
-1. **Threaded code** -- a parallel table of per-instruction Python
-   closures, each with its operand indices, masked immediates, cycle
-   cost, branch targets, extension semantics, and zero-register
-   handling baked into captured variables, so executing one
-   instruction is a single indirect call returning the next pc.
-2. **Fused basic blocks (superinstructions)** -- straight-line runs
-   between branch targets and control transfers are additionally
-   emitted as one generated Python function per block, amortizing the
-   dispatch loop, the instruction-budget check, and per-instruction
-   counting over the whole block.  Executed-instruction histograms are
-   recovered from one counter per block via a precomputed per-block
-   opcode histogram; a jump into the middle of a block (a computed
-   ``jr``) simply falls back to the per-instruction closures until the
-   next block leader.
+1. **Fused basic blocks (superinstructions)** -- runs between branch
+   targets and control transfers, amortizing the dispatch loop, the
+   instruction-budget check, and per-instruction counting over the
+   whole block.  Executed-instruction histograms are recovered from one
+   counter per block via a precomputed per-block opcode histogram.
+   Each block is compiled as its own code object, and blocks are capped
+   at :data:`MAX_BLOCK_LEN` instructions (extra leaders split longer
+   runs), which bounds the memory one compilation needs.
+2. **Single steps** -- one-instruction functions for the places no
+   block applies (a computed ``jr`` into the middle of a block, the
+   last few instructions before the instruction budget, an unknown
+   opcode).  They are rare, so each is generated on first use
+   (:meth:`CompiledProgram.step_at`).
 
-The compiled backend is **bit-identical** to the interpreter --
-``cycles``, ``instret``, ``opcode_counts``, the :class:`Profile`
+Threaded code is **bit-identical** to the interpreter -- ``cycles``,
+``instret``, ``opcode_counts``, the :class:`Profile`
 (local/inclusive cycles, call edges/counts) and final memory/registers
 all match exactly, on success *and* on fault paths; the differential
 tests and the ``iss_compiled`` bench scenario gate that equivalence at
@@ -38,13 +41,14 @@ a hard zero.  Three mechanisms preserve exactness while batching work:
   that can fault (memory ops, custom instructions), so a trapped run
   has charged exactly the cycles of the instructions that completed.
 - A block that faults reports ``(start, length, sub-index)`` through
-  ``machine._block_fault`` so the driver can repair the pre-charged
-  instruction count and attribute per-pc counts for the partial run,
-  matching the interpreter's state at the raise point.
+  ``machine._block_fault`` so the dispatch loop can repair the
+  pre-charged instruction count and attribute per-pc counts for the
+  partial run, matching the interpreter's state at the raise point.
 
 Compilation is cached per ``(Program, ExtensionSet)`` identity in a
 weak registry, so fleets and kernel runners that spawn a fresh
-:class:`~repro.isa.machine.Machine` per run pay for predecoding once.
+:class:`~repro.isa.machine.Machine` per run pay for predecoding once,
+and a program's compiled code is freed together with the program.
 """
 
 import weakref
@@ -55,7 +59,7 @@ from repro.isa.extensions import ExtensionSet
 from repro.isa.instructions import (BRANCH_TAKEN_PENALTY, LINK_REG,
                                     WORD_MASK, ZERO_REG)
 
-#: One compiled instruction (or fused block): machine -> next pc.
+#: One generated step or fused block: machine -> next pc.
 Step = Callable[[object], int]
 
 _SIGN_BIT = 0x80000000
@@ -71,19 +75,31 @@ _BASE_OPS = frozenset(
      "lw", "lb", "sw", "sb")) | _TERMINATORS
 
 
+#: Longest fused block, in instructions.  Longer straight-line runs
+#: are split by extra leaders: one generated function stays small, and
+#: so does the memory its compilation needs.
+MAX_BLOCK_LEN = 64
+
+
 class CompiledProgram:
     """The threaded-code form of one program + extension configuration."""
 
     __slots__ = ("steps", "op_names", "sentinel", "extensions",
-                 "blocks", "block_hists")
+                 "blocks", "block_hists", "_code", "_func_at", "_glob")
 
-    def __init__(self, steps: List[Step], op_names: List[str],
-                 sentinel: int, extensions: Optional[ExtensionSet],
+    def __init__(self, code: Sequence[Instruction], func_at: Dict[int, str],
+                 glob: Dict[str, object],
+                 extensions: Optional[ExtensionSet],
                  blocks: List[Optional[Tuple[Step, int, int]]],
                  block_hists: List[Tuple[Tuple[str, int], ...]]):
-        self.steps = steps
-        self.op_names = op_names
-        self.sentinel = sentinel
+        self._code = code
+        self._func_at = func_at
+        self._glob = glob       # globals of the generated functions
+        self.sentinel = len(code)
+        self.op_names = [instr.op for instr in code]
+        #: ``steps[pc]``: the single step at ``pc``, ``None`` until
+        #: :meth:`step_at` first generates it.
+        self.steps: List[Optional[Step]] = [None] * self.sentinel
         #: ``blocks[pc]`` is ``(fn, length, block_id)`` at block leaders.
         self.blocks = blocks
         #: per block id: ((opcode, multiplicity), ...) for count merging
@@ -92,442 +108,31 @@ class CompiledProgram:
         # by a different ExtensionSet while this entry is alive.
         self.extensions = extensions
 
+    def step_at(self, pc: int) -> Step:
+        """The single step at ``pc``, generated on first use."""
+        step = self.steps[pc]
+        if step is None:
+            step = self.steps[pc] = _compile_step(
+                self._code[pc], pc, self.sentinel, self._func_at,
+                self.extensions, self._glob)
+        return step
 
-def _machine_error(message: str):
-    from repro.isa.machine import MachineError
-    return MachineError(message)
 
-
-# -- per-instruction closure emitters ----------------------------------------
+# -- code generation ---------------------------------------------------------
 #
-# Every emitter returns a Step closure.  Registers written by the base
-# ISA are re-forced to zero by the interpreter after every instruction;
-# here that is resolved at compile time: a pure ALU op targeting r0 is
-# compiled to a cost-only step (the write is unobservable), and memory
-# reads targeting r0 keep their side effects (bounds check, dcache
-# access) but discard the loaded value.
-
-def _cost_only(cost: int, nxt: int) -> Step:
-    def step(m):
-        m.cycles += cost
-        return nxt
-    return step
-
-
-def _emit_binary(op: str, a, nxt: int) -> Optional[Step]:
-    d, s1, s2 = a[0], a[1], a[2]
-    if d == ZERO_REG:
-        return _cost_only(2 if op in ("mul", "mulhu") else 1, nxt)
-    if op == "add":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] + r[s2]) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "sub":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] - r[s2]) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "and":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] & r[s2]
-            m.cycles += 1
-            return nxt
-    elif op == "or":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] | r[s2]
-            m.cycles += 1
-            return nxt
-    elif op == "xor":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] ^ r[s2]
-            m.cycles += 1
-            return nxt
-    elif op == "sll":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] << (r[s2] & 31)) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "srl":
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] >> (r[s2] & 31)
-            m.cycles += 1
-            return nxt
-    elif op == "sra":
-        def step(m):
-            r = m.regs
-            r[d] = ((((r[s1] ^ _SIGN_BIT) - _SIGN_BIT) >> (r[s2] & 31))
-                    & WORD_MASK)
-            m.cycles += 1
-            return nxt
-    elif op == "sltu":
-        def step(m):
-            r = m.regs
-            r[d] = 1 if r[s1] < r[s2] else 0
-            m.cycles += 1
-            return nxt
-    elif op == "slt":
-        def step(m):
-            r = m.regs
-            r[d] = 1 if (r[s1] ^ _SIGN_BIT) < (r[s2] ^ _SIGN_BIT) else 0
-            m.cycles += 1
-            return nxt
-    elif op == "mul":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] * r[s2]) & WORD_MASK
-            m.cycles += 2
-            return nxt
-    elif op == "mulhu":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] * r[s2]) >> 32
-            m.cycles += 2
-            return nxt
-    else:
-        return None
-    return step
-
-
-def _emit_immediate(op: str, a, nxt: int) -> Optional[Step]:
-    d, s1 = a[0], a[1]
-    if op == "li":
-        value = a[1] & WORD_MASK
-        if d == ZERO_REG:
-            return _cost_only(1, nxt)
-
-        def step(m):
-            m.regs[d] = value
-            m.cycles += 1
-            return nxt
-        return step
-    if op == "mov":
-        if d == ZERO_REG:
-            return _cost_only(1, nxt)
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1]
-            m.cycles += 1
-            return nxt
-        return step
-    imm = a[2]
-    if d == ZERO_REG:
-        return _cost_only(1, nxt)
-    if op == "addi":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] + imm) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "subi":
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] - imm) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "andi":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] & masked
-            m.cycles += 1
-            return nxt
-    elif op == "ori":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] | masked
-            m.cycles += 1
-            return nxt
-    elif op == "xori":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] ^ masked
-            m.cycles += 1
-            return nxt
-    elif op == "slli":
-        shift = imm & 31
-
-        def step(m):
-            r = m.regs
-            r[d] = (r[s1] << shift) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "srli":
-        shift = imm & 31
-
-        def step(m):
-            r = m.regs
-            r[d] = r[s1] >> shift
-            m.cycles += 1
-            return nxt
-    elif op == "srai":
-        shift = imm & 31
-
-        def step(m):
-            r = m.regs
-            r[d] = (((r[s1] ^ _SIGN_BIT) - _SIGN_BIT) >> shift) & WORD_MASK
-            m.cycles += 1
-            return nxt
-    elif op == "sltui":
-        masked = imm & WORD_MASK
-
-        def step(m):
-            r = m.regs
-            r[d] = 1 if r[s1] < masked else 0
-            m.cycles += 1
-            return nxt
-    else:
-        return None
-    return step
-
-
-def _emit_load(op: str, a, nxt: int) -> Step:
-    d = a[0]
-    off, base = a[1]
-    if op == "lw":
-        if d == ZERO_REG:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 4 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+4")
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-        else:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 4 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+4")
-                m.regs[d] = int.from_bytes(mem[addr: addr + 4], "little")
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-    else:  # lb
-        if d == ZERO_REG:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 1 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+1")
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-        else:
-            def step(m):
-                addr = m.regs[base] + off
-                mem = m.mem
-                if addr < 0 or addr + 1 > len(mem):
-                    raise _machine_error(
-                        f"memory access out of range: {addr:#x}+1")
-                m.regs[d] = mem[addr]
-                dc = m.dcache
-                m.cycles += 2 if dc is None else 2 + dc.access(addr)
-                return nxt
-    return step
-
-
-def _emit_store(op: str, a, nxt: int) -> Step:
-    s = a[0]
-    off, base = a[1]
-    if op == "sw":
-        def step(m):
-            addr = m.regs[base] + off
-            mem = m.mem
-            if addr < 0 or addr + 4 > len(mem):
-                raise _machine_error(
-                    f"memory access out of range: {addr:#x}+4")
-            mem[addr: addr + 4] = (m.regs[s] & WORD_MASK).to_bytes(4, "little")
-            dc = m.dcache
-            m.cycles += 1 if dc is None else 1 + dc.access(addr)
-            return nxt
-    else:  # sb
-        def step(m):
-            addr = m.regs[base] + off
-            mem = m.mem
-            if addr < 0 or addr + 1 > len(mem):
-                raise _machine_error(
-                    f"memory access out of range: {addr:#x}+1")
-            mem[addr] = m.regs[s] & 0xFF
-            dc = m.dcache
-            m.cycles += 1 if dc is None else 1 + dc.access(addr)
-            return nxt
-    return step
-
-
-def _emit_branch(op: str, a, nxt: int) -> Step:
-    s1, s2, target = a[0], a[1], a[2]
-    if op == "beq":
-        def step(m):
-            r = m.regs
-            if r[s1] == r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "bne":
-        def step(m):
-            r = m.regs
-            if r[s1] != r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "bltu":
-        def step(m):
-            r = m.regs
-            if r[s1] < r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "bgeu":
-        def step(m):
-            r = m.regs
-            if r[s1] >= r[s2]:
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    elif op == "blt":
-        def step(m):
-            r = m.regs
-            if (r[s1] ^ _SIGN_BIT) < (r[s2] ^ _SIGN_BIT):
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    else:  # bge
-        def step(m):
-            r = m.regs
-            if (r[s1] ^ _SIGN_BIT) >= (r[s2] ^ _SIGN_BIT):
-                m.cycles += _TAKEN_COST
-                return target
-            m.cycles += 1
-            return nxt
-    return step
-
-
-def _emit_j(a) -> Step:
-    target = a[0]
-    return _cost_only(3, target)
-
-
-def _emit_jal(a, pc: int, func_at: Dict[int, str]) -> Step:
-    target = a[0]
-    link = pc + 1
-    callee = func_at.get(target, f"func@{target}")
-
-    def step(m):
-        m.regs[LINK_REG] = link
-        m.cycles += 3
-        m._compiled_call(callee)
-        return target
-    return step
-
-
-def _emit_jr(a) -> Step:
-    src = a[0]
-
-    def step(m):
-        m.cycles += 3
-        m._compiled_ret()
-        return m.regs[src]
-    return step
-
-
-def _emit_halt(pc: int, sentinel: int) -> Step:
-    def step(m):
-        m.cycles += 1
-        m._halted = True
-        m._halt_pc = pc
-        return sentinel
-    return step
-
-
-def _emit_custom(op: str, a, pc: int, nxt: int,
-                 extensions: Optional[ExtensionSet]) -> Step:
-    custom = extensions.get(op) if extensions is not None else None
-    if custom is None:
-        message = f"unknown opcode {op!r} at pc={pc}"
-
-        def step(m):
-            raise _machine_error(message)
-        return step
-    semantics = custom.semantics
-    latency = custom.latency
-    if callable(latency):
-        def step(m):
-            semantics(m, a)
-            cost = latency(m, a)
-            m.regs[ZERO_REG] = 0
-            m.cycles += cost
-            return nxt
-    else:
-        cost = latency
-
-        def step(m):
-            semantics(m, a)
-            m.regs[ZERO_REG] = 0
-            m.cycles += cost
-            return nxt
-    return step
-
-
-def _compile_instruction(instr: Instruction, pc: int, sentinel: int,
-                         func_at: Dict[int, str],
-                         extensions: Optional[ExtensionSet]) -> Step:
-    op = instr.op
-    a = instr.args
-    nxt = pc + 1
-    if op in ("add", "sub", "and", "or", "xor", "sll", "srl", "sra",
-              "sltu", "slt", "mul", "mulhu"):
-        return _emit_binary(op, a, nxt)
-    if op in ("addi", "subi", "li", "mov", "andi", "ori", "xori",
-              "slli", "srli", "srai", "sltui"):
-        return _emit_immediate(op, a, nxt)
-    if op in ("lw", "lb"):
-        return _emit_load(op, a, nxt)
-    if op in ("sw", "sb"):
-        return _emit_store(op, a, nxt)
-    if op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-        return _emit_branch(op, a, nxt)
-    if op == "j":
-        return _emit_j(a)
-    if op == "jal":
-        return _emit_jal(a, pc, func_at)
-    if op == "jr":
-        return _emit_jr(a)
-    if op == "halt":
-        return _emit_halt(pc, sentinel)
-    return _emit_custom(op, a, pc, nxt, extensions)
-
-
-# -- basic-block fusion (superinstructions) ----------------------------------
-#
-# Straight-line runs are re-emitted as one generated Python function
-# per block: registers hoisted to a local, immediates and addresses
-# inlined as literals, static cycle costs pre-summed.  Only memory and
-# custom instructions can fault; blocks containing them get a
-# try/except wrapper and a sub-instruction progress marker so the
-# driver can repair counts exactly (see the module docstring).
+# Straight-line runs are emitted as one generated Python function per
+# block: registers hoisted to a local, immediates and addresses inlined
+# as literals, static cycle costs pre-summed.  Registers written by the
+# base ISA are re-forced to zero by the interpreter after every
+# instruction; here that is resolved at generation time: a pure ALU op
+# targeting r0 emits no write, and memory reads targeting r0 keep their
+# side effects (bounds check, dcache access) but discard the loaded
+# value.  Only memory and custom instructions can fault; blocks
+# containing them get a try/except wrapper and a sub-instruction
+# progress marker so the dispatch loop can repair counts exactly (see
+# the module docstring).  A single step is generated the same way as a
+# one-instruction block without that wrapper: the dispatch loop counts
+# single steps before it calls them, so there is nothing to repair.
 
 def _alu_source(op: str, a) -> Optional[str]:
     """The statement for one non-faulting ALU op, or None when the
@@ -603,11 +208,14 @@ def _branch_cond(op: str, a) -> str:
 
 
 class _BlockGen:
-    """Accumulates the generated source of one fused block."""
+    """Accumulates the generated source of one fused block (or, unguarded,
+    of one single step)."""
 
-    def __init__(self, start: int, glob: Dict[str, object]):
+    def __init__(self, start: int, glob: Dict[str, object],
+                 guarded: bool = True):
         self.start = start
         self.glob = glob
+        self.guarded = guarded  # report faults through m._block_fault
         self.lines: List[str] = []
         self.pending = 0        # static cycles not yet charged
         self.faulting = False   # needs the try/except + progress marker
@@ -618,6 +226,12 @@ class _BlockGen:
         if self.pending:
             self.lines.append(f"m.cycles += {self.pending}")
             self.pending = 0
+
+    def mark_fault(self, sub: int) -> None:
+        """The next statements may raise at sub-instruction ``sub``."""
+        self.faulting = True
+        if self.guarded:
+            self.lines.append(f"f_ = {sub}")
 
     def emit_alu(self, op: str, a) -> None:
         stmt = _alu_source(op, a)
@@ -632,8 +246,7 @@ class _BlockGen:
         # Charge everything up to here before the op can fault, so a
         # trapped run's cycle count matches the interpreter's exactly.
         self.flush()
-        self.faulting = True
-        self.lines.append(f"f_ = {sub}")
+        self.mark_fault(sub)
         self.lines.append(f"a_ = r[{base}] + {off!r}")
         self.lines.append(f"if a_ < 0 or a_ + {size} > len(mem):")
         self.lines.append(
@@ -664,8 +277,7 @@ class _BlockGen:
 
     def emit_custom(self, custom, a, pc: int, sub: int) -> None:
         self.flush()
-        self.faulting = True
-        self.lines.append(f"f_ = {sub}")
+        self.mark_fault(sub)
         self.glob[f"S{pc}"] = custom.semantics
         self.glob[f"A{pc}"] = a
         self.lines.append(f"S{pc}(m, A{pc})")
@@ -718,7 +330,7 @@ class _BlockGen:
             head.append("    dc = m.dcache")
         if self.uses_load:
             head.append("    fb = _fb")
-        if self.faulting:
+        if self.faulting and self.guarded:
             head.append("    f_ = 0")
             head.append("    try:")
             body = [f"        {line}" for line in self.lines]
@@ -733,8 +345,9 @@ class _BlockGen:
 def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
                   sentinel: int) -> List[int]:
     """Every pc a block may legally start at: labels (function entries,
-    ``jal``/``j``/branch targets and return addresses), plus the
-    instruction after each control transfer."""
+    ``jal``/``j``/branch targets and return addresses), the instruction
+    after each control transfer, and every :data:`MAX_BLOCK_LEN`-th
+    instruction of a longer run between those."""
     leaders = {index for index in labels.values() if index < sentinel}
     if code:
         leaders.add(0)
@@ -748,88 +361,118 @@ def _find_leaders(code: Sequence[Instruction], labels: Dict[str, int],
                 leaders.add(instr.args[0])
         if op in _TERMINATORS and pc + 1 < sentinel:
             leaders.add(pc + 1)
-    return sorted(leaders)
+    ordered = sorted(leaders)
+    capped = []
+    for start, end in zip(ordered, ordered[1:] + [sentinel]):
+        capped.extend(range(start, end, MAX_BLOCK_LEN))
+    return capped
 
 
-def _build_blocks(program: Program, extensions: Optional[ExtensionSet],
-                  sentinel: int, func_at: Dict[int, str]
+def _known(op: str, extensions: Optional[ExtensionSet]) -> bool:
+    return op in _BASE_OPS or (extensions is not None
+                               and extensions.get(op) is not None)
+
+
+def _emit(gen: _BlockGen, instr: Instruction, pc: int, sentinel: int,
+          func_at: Dict[int, str],
+          extensions: Optional[ExtensionSet]) -> bool:
+    """Append one known instruction to ``gen``; True if it ends the
+    block (a control transfer)."""
+    op = instr.op
+    if op in _TERMINATORS:
+        gen.emit_terminator(op, instr.args, pc, sentinel, func_at)
+        return True
+    if op in ("lw", "lb", "sw", "sb"):
+        gen.emit_mem(op, instr.args, pc - gen.start)
+    elif op in _BASE_OPS:
+        gen.emit_alu(op, instr.args)
+    else:
+        gen.emit_custom(extensions.get(op), instr.args, pc, pc - gen.start)
+    return False
+
+
+def _define(gen: _BlockGen, length: int) -> Step:
+    """Compile ``gen``'s function as its own code object and return it.
+
+    One code object per block: compiling the whole program as one
+    module would hold every block's syntax tree at once.
+    """
+    exec(compile(gen.render(length), "<repro.isa.compile>", "exec"),
+         gen.glob)
+    return gen.glob.pop(f"_b{gen.start}")
+
+
+def _build_blocks(code: Sequence[Instruction], labels: Dict[str, int],
+                  extensions: Optional[ExtensionSet],
+                  func_at: Dict[int, str], glob: Dict[str, object]
                   ) -> Tuple[List[Optional[Tuple[Step, int, int]]],
                              List[Tuple[Tuple[str, int], ...]]]:
-    from repro.isa.machine import MachineError
-    code = program.instructions
-    leaders = _find_leaders(code, program.labels, sentinel)
+    sentinel = len(code)
+    leaders = _find_leaders(code, labels, sentinel)
     leader_set = set(leaders)
     blocks: List[Optional[Tuple[Step, int, int]]] = [None] * sentinel
     hists: List[Tuple[Tuple[str, int], ...]] = []
-    glob: Dict[str, object] = {"_fb": int.from_bytes,
-                               "MachineError": MachineError}
-    sources: List[str] = []
-    placed: List[Tuple[int, int]] = []  # (start, length) awaiting exec
 
     for start in leaders:
         gen = _BlockGen(start, glob)
         hist: Dict[str, int] = {}
         pc = start
         terminated = False
-        while True:
+        while pc < sentinel and not terminated:
             instr = code[pc]
-            op = instr.op
-            if op not in _BASE_OPS and (extensions is None
-                                        or extensions.get(op) is None):
+            if not _known(instr.op, extensions):
                 # Unknown opcode: end the block before it; the
-                # per-instruction closure raises with exact state.
+                # per-instruction step raises with exact state.
                 break
-            hist[op] = hist.get(op, 0) + 1
-            if op in _TERMINATORS:
-                gen.emit_terminator(op, instr.args, pc, sentinel, func_at)
-                terminated = True
-                pc += 1
-                break
-            if op in ("lw", "lb", "sw", "sb"):
-                gen.emit_mem(op, instr.args, pc - start)
-            elif op in _BASE_OPS:
-                gen.emit_alu(op, instr.args)
-            else:
-                gen.emit_custom(extensions.get(op), instr.args, pc,
-                                pc - start)
+            hist[instr.op] = hist.get(instr.op, 0) + 1
+            terminated = _emit(gen, instr, pc, sentinel, func_at,
+                               extensions)
             pc += 1
-            if pc == sentinel or pc in leader_set:
+            if pc in leader_set:
                 break
         length = pc - start
         if length == 0:
             continue  # first instruction unknown; no fused block here
         if not terminated:
             gen.emit_fallthrough(pc)
-        sources.append(gen.render(length))
-        placed.append((start, length))
+        blocks[start] = (_define(gen, length), length, len(hists))
         hists.append(tuple(sorted(hist.items())))
-
-    if sources:
-        exec(compile("\n".join(sources), "<repro.isa.compile>", "exec"), glob)
-        for bid, (start, length) in enumerate(placed):
-            blocks[start] = (glob[f"_b{start}"], length, bid)
     return blocks, hists
+
+
+def _compile_step(instr: Instruction, pc: int, sentinel: int,
+                  func_at: Dict[int, str],
+                  extensions: Optional[ExtensionSet],
+                  glob: Dict[str, object]) -> Step:
+    """The per-instruction step for ``pc``: machine -> next pc."""
+    if not _known(instr.op, extensions):
+        from repro.isa.machine import MachineError
+        message = f"unknown opcode {instr.op!r} at pc={pc}"
+
+        def step(m):
+            raise MachineError(message)
+        return step
+    gen = _BlockGen(pc, glob, guarded=False)
+    if not _emit(gen, instr, pc, sentinel, func_at, extensions):
+        gen.emit_fallthrough(pc + 1)
+    return _define(gen, 1)
 
 
 def compile_program(program: Program,
                     extensions: Optional[ExtensionSet] = None
                     ) -> CompiledProgram:
     """Predecode ``program`` into its threaded-code form (uncached)."""
+    from repro.isa.machine import MachineError
     code = program.instructions
-    sentinel = len(code)
     # Same first-label-wins mapping the Machine builds for profiling.
     func_at: Dict[int, str] = {}
     for label, index in program.labels.items():
         func_at.setdefault(index, label)
-    steps: List[Step] = []
-    op_names: List[str] = []
-    for pc, instr in enumerate(code):
-        steps.append(_compile_instruction(instr, pc, sentinel, func_at,
-                                          extensions))
-        op_names.append(instr.op)
-    blocks, hists = _build_blocks(program, extensions, sentinel, func_at)
-    return CompiledProgram(steps, op_names, sentinel, extensions,
-                           blocks, hists)
+    glob: Dict[str, object] = {"_fb": int.from_bytes,
+                               "MachineError": MachineError}
+    blocks, hists = _build_blocks(code, program.labels, extensions,
+                                  func_at, glob)
+    return CompiledProgram(code, func_at, glob, extensions, blocks, hists)
 
 
 # -- compilation cache -------------------------------------------------------

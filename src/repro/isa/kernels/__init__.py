@@ -8,16 +8,21 @@ kernels bit-exact against the reference Python implementations, and the
 characterization phase fits macro-models to their cycle counts.
 """
 
+import weakref
+
 from repro.isa.assembler import assemble
 from repro.isa.machine import Machine, MachineFleet
 
 # Base-ISA sources assemble to the same Program every time, so memoize
-# them: reconstructing a kernel object (as the characterization jobs
-# do per stimulus family) then shares one Program object, which is what
-# lets the compiled backend's weak per-Program cache hit instead of
-# re-predecoding.  Extended kernels pass an ExtensionSet whose contents
-# callers may still grow, so those assemble fresh.
-_BASE_PROGRAMS = {}
+# them: reconstructing a kernel object while another one of the same
+# source is alive (as the characterization jobs do per stimulus family)
+# then shares one Program object, which is what lets the weak
+# per-Program threaded-code cache hit instead of re-predecoding.  The
+# memo holds its Programs weakly, so a Program -- and its compiled code
+# -- is freed with the last kernel using it rather than pinned for the
+# life of the process.  Extended kernels pass an ExtensionSet whose
+# contents callers may still grow, so those assemble fresh.
+_BASE_PROGRAMS = weakref.WeakValueDictionary()
 
 
 def _assemble_memo(source: str, extensions):

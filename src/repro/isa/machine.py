@@ -7,18 +7,14 @@ latencies).  A lightweight profiler attributes cycles to functions
 Figure 4 and the per-routine cycle counts that characterization fits
 macro-models to.
 
-Two execution backends share one architectural contract:
-
-- ``interp`` (default): the readable reference loop -- one if/elif
-  dispatch chain, the semantic spec for the ISA.
-- ``compiled``: threaded-code dispatch via :mod:`repro.isa.compile` --
-  the program is predecoded once into per-instruction closures and
-  each step is a single indirect call.
-
-Both are bit-identical in ``cycles``, ``instret``, ``opcode_counts``,
-the :class:`Profile`, and final memory/registers; select with the
-``backend=`` constructor argument, :func:`backend_scope`, or the
-``REPRO_ISS_BACKEND`` environment variable.
+Execution is threaded code: :meth:`Machine.run` executes the program
+as predecoded per-instruction closures and fused basic blocks built
+once per program by :mod:`repro.isa.compile`.  The readable if/elif
+interpreter -- the semantic spec for the ISA -- stays as
+:meth:`Machine.interpret`, the oracle the differential tests hold
+:meth:`Machine.run` to: both are bit-identical in ``cycles``,
+``instret``, ``opcode_counts``, the :class:`Profile`, and final
+memory/registers, on success and on every fault path.
 
 Calling convention (used by all kernels in :mod:`repro.isa.kernels`):
 
@@ -28,13 +24,12 @@ Calling convention (used by all kernels in :mod:`repro.isa.kernels`):
 - callee may clobber ``r1``..``r12``.
 """
 
-import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.assembler import Program
+from repro.isa.compile import compiled_for
 from repro.isa.extensions import ExtensionSet
 from repro.isa.instructions import (BRANCH_TAKEN_PENALTY, LINK_REG,
                                     SP_REG, WORD_MASK, ZERO_REG, to_signed)
@@ -44,39 +39,13 @@ class MachineError(RuntimeError):
     """Raised on simulator faults (bad memory access, runaway programs)."""
 
 
-#: Environment variable selecting the default execution backend.
-ISS_BACKEND_ENV = "REPRO_ISS_BACKEND"
+def resolve_backend() -> str:
+    """Name of the execution path :meth:`Machine.run` takes.
 
-_BACKENDS = ("interp", "compiled")
-
-_backend_override: Optional[str] = None
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name: explicit argument, then any active
-    :func:`backend_scope`, then ``$REPRO_ISS_BACKEND``, then ``interp``."""
-    if name is None:
-        name = _backend_override
-    if name is None:
-        name = os.environ.get(ISS_BACKEND_ENV, "") or "interp"
-    if name not in _BACKENDS:
-        raise MachineError(
-            f"unknown ISS backend {name!r} (expected one of "
-            f"{', '.join(_BACKENDS)})")
-    return name
-
-
-@contextmanager
-def backend_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily make ``name`` the default backend for new machines."""
-    global _backend_override
-    resolved = resolve_backend(name)
-    previous = _backend_override
-    _backend_override = resolved
-    try:
-        yield resolved
-    finally:
-        _backend_override = previous
+    Always ``"compiled"`` (threaded code); kept so run reports can
+    state it.
+    """
+    return "compiled"
 
 
 @dataclass
@@ -108,18 +77,13 @@ class Machine:
     def __init__(self, program: Program,
                  extensions: Optional[ExtensionSet] = None,
                  mem_size: int = 1 << 20,
-                 dcache=None,
-                 backend: Optional[str] = None):
+                 dcache=None):
         """``dcache``: an optional :class:`repro.isa.cache.CacheConfig`;
         when set, scalar loads/stores pay miss penalties.  Custom
         instructions model dedicated wide memory ports and bypass it.
-
-        ``backend``: ``"interp"`` or ``"compiled"``; ``None`` resolves
-        through :func:`backend_scope` / ``$REPRO_ISS_BACKEND``.
         """
         self.program = program
         self.extensions = extensions or ExtensionSet()
-        self.backend = resolve_backend(backend)
         self.mem = bytearray(mem_size)
         self._dcache_cfg = dcache
         if dcache is not None:
@@ -148,7 +112,7 @@ class Machine:
 
     def reset(self) -> None:
         """Return the machine to its just-constructed architectural state
-        (same program, extensions, memory size, and backend) so it can be
+        (same program, extensions, and memory size) so it can be
         reused across independent runs without re-decoding the program."""
         self.mem = bytearray(len(self.mem))
         if self._dcache_cfg is not None:
@@ -241,10 +205,10 @@ class Machine:
 
     def _flush_frame_cycles(self) -> None:
         """Attribute cycles accumulated since the last flush point to the
-        current top frame.  Both backends batch per-instruction charges
-        this way: the sums flushed at call/return/exit boundaries equal
-        per-step attribution because the top frame is constant between
-        boundaries."""
+        current top frame.  :meth:`run` and :meth:`interpret` both batch
+        per-instruction charges this way: the sums flushed at
+        call/return/exit boundaries equal per-step attribution because
+        the top frame is constant between boundaries."""
         cycles = self.cycles
         delta = cycles - self._cmark
         if delta and self._frames:
@@ -273,12 +237,12 @@ class Machine:
             prof.inclusive_cycles.get(func, 0) + (self.cycles - entry_cycles)
 
     def _compiled_call(self, callee: str) -> None:
-        """jal hook for the compiled backend (cycles already charged)."""
+        """jal hook for threaded code (cycles already charged)."""
         self._flush_frame_cycles()
         self._push_frame(callee)
 
     def _compiled_ret(self) -> None:
-        """jr hook for the compiled backend (cycles already charged)."""
+        """jr hook for threaded code (cycles already charged)."""
         self._flush_frame_cycles()
         self._leave()
 
@@ -353,21 +317,15 @@ class Machine:
         """Call ``entry`` with ``args`` in r1..; returns r1 at exit.
 
         Execution stops at ``halt`` or when the entry function returns
-        (jr to the sentinel return address).  Dispatches to the
-        interpreter or the threaded-code backend per ``self.backend``;
-        both produce bit-identical architectural and profile state.
+        (jr to the sentinel return address).  Runs the program's
+        threaded code (:func:`repro.isa.compile.compiled_for`), with
+        architectural and profile state bit-identical to
+        :meth:`interpret`.
         """
-        if self.backend == "compiled":
-            return self._run_compiled(entry, args, max_instructions)
-        return self._run_interp(entry, args, max_instructions)
-
-    def _run_compiled(self, entry: str, args: Sequence[int],
-                      max_instructions: int) -> int:
-        from repro.isa.compile import compiled_for
         ext = self.extensions
         compiled = compiled_for(self.program,
                                 ext if len(ext) else None)
-        steps = compiled.steps
+        step_at = compiled.step_at
         blocks = compiled.blocks
         sentinel = compiled.sentinel
         pc, _ = self._prepare_run(entry, args)
@@ -398,7 +356,7 @@ class Machine:
                 if executed > max_instructions:
                     raise MachineError(
                         "instruction budget exceeded (runaway program?)")
-                pc = steps[pc](self)
+                pc = step_at(pc)(self)
             completed = not self._halted
         except IndexError:
             if 0 <= pc < sentinel:
@@ -433,8 +391,14 @@ class Machine:
             # else: no instruction completed this run; instret unchanged
         return self._finish_run(executed)
 
-    def _run_interp(self, entry: str, args: Sequence[int],
-                    max_instructions: int) -> int:
+    def interpret(self, entry: str, args: Sequence[int] = (),
+                  max_instructions: int = 200_000_000) -> int:
+        """:meth:`run` on the reference interpreter.
+
+        One if/elif dispatch per executed instruction: the readable
+        semantic spec of the ISA, and the oracle :meth:`run` is tested
+        against.  Production code calls :meth:`run`.
+        """
         program = self.program
         code = program.instructions
         pc, sentinel = self._prepare_run(entry, args)
@@ -644,7 +608,7 @@ class Machine:
                   ) -> List[Tuple[int, int]]:
         """Run many independent ``(entry, args)`` calls on this machine,
         resetting architectural state between runs (the decoded program
-        and, on the compiled backend, its threaded code are reused).
+        and its threaded code are reused).
         Returns ``[(result, cycles), ...]`` in request order."""
         out = []
         for entry, args in requests:
@@ -659,26 +623,23 @@ class MachineFleet:
     configuration, one machine per thread.
 
     Repeated stimulus runs (characterization's ``reps``, bench loops)
-    previously paid machine construction -- and with the compiled
-    backend would pay predecoding -- per run.  A fleet keeps one
-    machine per worker thread and :meth:`Machine.reset`\\ s it between
-    runs, so the decode/setup cost is paid once per thread.  Works with
-    the serial and thread executors from :mod:`repro.parallel`; for
-    process executors the fleet pickles its configuration (not its
+    would otherwise pay machine construction per run.  A fleet keeps
+    one machine per worker thread and :meth:`Machine.reset`\\ s it
+    between runs, so setup is paid once per thread (the threaded code
+    itself is cached per program by :mod:`repro.isa.compile`).  Works
+    with the serial and thread executors from :mod:`repro.parallel`;
+    for process executors the fleet pickles its configuration (not its
     machines) and each worker re-populates its own pool.
     """
 
     def __init__(self, program: Program,
                  extensions: Optional[ExtensionSet] = None,
                  mem_size: int = 1 << 20,
-                 dcache=None,
-                 backend: Optional[str] = None):
+                 dcache=None):
         self.program = program
         self.extensions = extensions
         self.mem_size = mem_size
         self.dcache = dcache
-        #: explicit backend pin, or None to track backend_scope()/env
-        self.backend = backend
         self._local = threading.local()
 
     def __getstate__(self):
@@ -691,17 +652,11 @@ class MachineFleet:
         self._local = threading.local()
 
     def machine(self) -> Machine:
-        """This thread's machine, reset to pristine architectural state.
-
-        The backend is re-resolved per call (unless pinned at fleet
-        construction), so a long-lived cached fleet honors an enclosing
-        :func:`backend_scope` instead of the scope active when the
-        fleet was first used."""
-        backend = resolve_backend(self.backend)
+        """This thread's machine, reset to pristine architectural state."""
         m = getattr(self._local, "machine", None)
-        if m is None or m.backend != backend:
+        if m is None:
             m = Machine(self.program, self.extensions, self.mem_size,
-                        dcache=self.dcache, backend=backend)
+                        dcache=self.dcache)
             self._local.machine = m
         else:
             m.reset()

@@ -16,69 +16,25 @@ needs, with the same structural split:
   layer can estimate cycle counts during native execution.
 - :mod:`repro.mp.prng` -- a small deterministic PRNG so every
   experiment in the repository is reproducible.
-- :mod:`repro.mp.mpn_fast` -- flat (packed-bignum) implementations of
-  the hottest mpn routines, value- and trace-identical to the
-  reference loops.  Select with :func:`select_backend` or the
-  ``REPRO_MPN_BACKEND`` environment variable.
+- :mod:`repro.mp.mpn_reference` -- the limb-loop forms of the mpn
+  routines that :mod:`repro.mp.mpn` computes flat (packed bignums).
+  A test oracle only: the equivalence suite holds the flat routines
+  value- and trace-identical to it; production code never calls it.
 """
-
-import os
-from contextlib import contextmanager
 
 from repro.mp.limb import Radix, RADIX16, RADIX32
 from repro.mp.mpz import Mpz
 from repro.mp.prng import DeterministicPrng
 
-#: Environment variable naming the default mpn backend.
-MPN_BACKEND_ENV = "REPRO_MPN_BACKEND"
-
-_MPN_BACKENDS = {"reference": "reference", "ref": "reference",
-                 "fast": "fast"}
-
-
-def select_backend(name=None) -> str:
-    """Install the named mpn backend; returns the canonical name.
-
-    ``None`` resolves through ``REPRO_MPN_BACKEND`` and falls back to
-    ``"reference"``.  Accepted names: ``reference`` (alias ``ref``)
-    and ``fast``.
-    """
-    from repro.mp import mpn_fast
-    if name is None:
-        name = os.environ.get(MPN_BACKEND_ENV, "") or "reference"
-    canonical = _MPN_BACKENDS.get(str(name).strip().lower())
-    if canonical is None:
-        raise ValueError(f"unknown mpn backend {name!r} "
-                         f"(expected 'reference' or 'fast')")
-    if canonical == "fast":
-        mpn_fast.install()
-    else:
-        mpn_fast.uninstall()
-    return canonical
-
 
 def active_backend() -> str:
-    """Name of the mpn backend currently installed."""
-    from repro.mp import mpn_fast
-    return "fast" if mpn_fast.installed() else "reference"
+    """Name of the mpn implementation in use.
 
+    Always ``"fast"`` (the flat routines of :mod:`repro.mp.mpn`); kept
+    so run reports can state it.
+    """
+    return "fast"
 
-@contextmanager
-def mpn_backend(name):
-    """Scoped backend override: restores the previous backend on exit."""
-    previous = active_backend()
-    select_backend(name)
-    try:
-        yield
-    finally:
-        select_backend(previous)
-
-
-# Honour the environment default at import, so e.g. a CI job exporting
-# REPRO_MPN_BACKEND=fast runs the whole suite on the fast backend.
-if os.environ.get(MPN_BACKEND_ENV):
-    select_backend()
 
 __all__ = ["Radix", "RADIX16", "RADIX32", "Mpz", "DeterministicPrng",
-           "MPN_BACKEND_ENV", "select_backend", "active_backend",
-           "mpn_backend"]
+           "active_backend"]

@@ -13,6 +13,16 @@ cycle count is modeled as a function of input bit-widths.
 
 Unlike GMP, results are returned (functional style) rather than written
 through pointers; carries/borrows are returned alongside.
+
+The hottest routines -- ``addmul_1``, ``_addmul_1_into``,
+``mul_basecase``, ``sqr``, ``divrem_1`` and ``divrem`` -- are *flat*:
+operands are packed into one Python int, the operation runs on native
+bignum arithmetic, and the result is unpacked back into limbs.  Each
+still emits exactly the trace sequence of the limb loop it replaced
+(including the data-dependent Knuth D6 add-back in :func:`divrem`), so
+macro-model cycle estimates do not depend on how the host computes the
+value.  Those limb loops are kept in :mod:`repro.mp.mpn_reference` as
+the oracle the equivalence tests compare against.
 """
 
 from typing import List, Tuple
@@ -51,10 +61,7 @@ def from_int(value: int, radix: Radix = DEFAULT_RADIX) -> Limbs:
 
 def to_int(up: Limbs, radix: Radix = DEFAULT_RADIX) -> int:
     """Convert a limb vector back to a Python int."""
-    value = 0
-    for limb in reversed(up):
-        value = (value << radix.bits) | limb
-    return value
+    return _pack(up, radix.bits)
 
 
 def numbits(up: Limbs, radix: Radix = DEFAULT_RADIX) -> int:
@@ -75,6 +82,23 @@ def cmp(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> int:
         if u != v:
             return -1 if u < v else 1
     return 0
+
+
+def _pack(limbs: Limbs, bits: int) -> int:
+    """Limb vector (LS limb first) -> one Python int."""
+    value = 0
+    for limb in reversed(limbs):
+        value = (value << bits) | limb
+    return value
+
+
+def _unpack(value: int, count: int, bits: int, mask: int) -> Limbs:
+    """Low ``count`` limbs of ``value`` as a vector (LS limb first)."""
+    out = []
+    for _ in range(count):
+        out.append(value & mask)
+        value >>= bits
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +165,12 @@ def addmul_1(rp: Limbs, up: Limbs, v: int,
         raise ValueError("addmul_1 requires equal-length operands")
     trace("mpn_addmul_1", n=len(up))
     bits, mask = radix.bits, radix.mask
+    t = _pack(rp, bits) + _pack(up, bits) * v
     out = []
-    carry = 0
-    for r, u in zip(rp, up):
-        t = r + u * v + carry
+    for _ in range(len(up)):
         out.append(t & mask)
-        carry = t >> bits
-    return out, carry
+        t >>= bits
+    return out, t
 
 
 def submul_1(rp: Limbs, up: Limbs, v: int,
@@ -203,63 +226,25 @@ def rshift(up: Limbs, count: int, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, 
 
 
 # ---------------------------------------------------------------------------
-# In-place leaf variants (hot-path helpers)
+# In-place leaf variant (hot-path helper)
 # ---------------------------------------------------------------------------
-# The composite routines below (schoolbook multiply, Knuth division) call
-# the multiply-accumulate leaves once per outer-loop digit on a sliding
-# window of the result vector.  Slicing that window in and out of a list
-# every iteration dominates Python-side cost, so these variants update
-# ``rp[offset:offset+len(up)]`` in place.  They trace exactly like their
-# functional counterparts -- same routine name, same ``n`` -- so charged
-# cycle counts are unchanged.
+# Schoolbook multiplication calls the multiply-accumulate leaf once per
+# outer-loop digit on a sliding window of the result vector; this
+# variant updates ``rp[offset:offset+len(up)]`` in place.  It traces
+# exactly like its functional counterpart -- same routine name, same
+# ``n`` -- so charged cycle counts are unchanged.
 
 def _addmul_1_into(rp: Limbs, offset: int, up: Limbs, v: int,
                    radix: Radix = DEFAULT_RADIX) -> int:
     """rp[offset:offset+len(up)] += up * v in place; return carry limb."""
     trace("mpn_addmul_1", n=len(up))
     bits, mask = radix.bits, radix.mask
-    carry = 0
-    i = offset
-    for u in up:
-        t = rp[i] + u * v + carry
+    n = len(up)
+    t = _pack(rp[offset:offset + n], bits) + _pack(up, bits) * v
+    for i in range(offset, offset + n):
         rp[i] = t & mask
-        carry = t >> bits
-        i += 1
-    return carry
-
-
-def _submul_1_into(rp: Limbs, offset: int, up: Limbs, v: int,
-                   radix: Radix = DEFAULT_RADIX) -> int:
-    """rp[offset:offset+len(up)] -= up * v in place; return borrow limb."""
-    trace("mpn_submul_1", n=len(up))
-    bits, mask, base = radix.bits, radix.mask, radix.base
-    borrow = 0
-    i = offset
-    for u in up:
-        prod = u * v + borrow
-        t = rp[i] - (prod & mask)
-        borrow = prod >> bits
-        if t < 0:
-            t += base
-            borrow += 1
-        rp[i] = t
-        i += 1
-    return borrow
-
-
-def _add_n_into(rp: Limbs, offset: int, up: Limbs,
-                radix: Radix = DEFAULT_RADIX) -> int:
-    """rp[offset:offset+len(up)] += up in place; return carry out."""
-    trace("mpn_add_n", n=len(up))
-    base = radix.base
-    carry = 0
-    i = offset
-    for u in up:
-        s = rp[i] + u + carry
-        carry = 1 if s >= base else 0
-        rp[i] = s - base if carry else s
-        i += 1
-    return carry
+        t >>= bits
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +280,19 @@ def sub(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
 
 
 def mul_basecase(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
-    """Schoolbook product of two vectors (length = len(up)+len(vp))."""
-    un = len(up)
-    rp = [0] * (un + len(vp))
-    lo, carry = mul_1(up, vp[0], radix)
-    rp[:un] = lo
-    rp[un] = carry
-    for i in range(1, len(vp)):
-        rp[i + un] += _addmul_1_into(rp, i, up, vp[i], radix)
-    return rp
+    """Schoolbook product of two vectors (length = len(up)+len(vp)).
+
+    One flat bignum multiply; emits the limb loop's trace sequence
+    (one ``mpn_mul_1`` then ``len(vp)-1`` ``mpn_addmul_1`` calls, all
+    at ``n=len(up)``).
+    """
+    un, vn = len(up), len(vp)
+    trace("mpn_mul_1", n=un)
+    for _ in range(1, vn):
+        trace("mpn_addmul_1", n=un)
+    bits = radix.bits
+    return _unpack(_pack(up, bits) * _pack(vp, bits), un + vn,
+                   bits, radix.mask)
 
 
 def _split(up: Limbs, k: int) -> Tuple[Limbs, Limbs]:
@@ -349,8 +338,25 @@ def mul(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
 
 
 def sqr(up: Limbs, radix: Radix = DEFAULT_RADIX) -> Limbs:
-    """Square of a vector (currently via mul; a true sqr saves ~half)."""
-    return mul(up, up, radix)
+    """Square of a vector; flat below the Karatsuba threshold.
+
+    Traces like ``mul(up, up)``: the base case's ``mpn_mul_1`` +
+    ``mpn_addmul_1`` sequence, or -- at and above
+    ``KARATSUBA_THRESHOLD``, whose size-dependent trace sequence this
+    does not replay -- the Karatsuba product itself.
+    """
+    up = normalize(up)
+    if up == [0]:
+        return [0]
+    n = len(up)
+    if n >= KARATSUBA_THRESHOLD:
+        return mul(up, up, radix)
+    trace("mpn_mul_1", n=n)
+    for _ in range(1, n):
+        trace("mpn_addmul_1", n=n)
+    bits = radix.bits
+    t = _pack(up, bits)
+    return normalize(_unpack(t * t, 2 * n, bits, radix.mask))
 
 
 def divrem_1(up: Limbs, v: int, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, int]:
@@ -359,68 +365,78 @@ def divrem_1(up: Limbs, v: int, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, in
         raise ZeroDivisionError("division by zero limb")
     trace("mpn_divrem_1", n=len(up))
     bits = radix.bits
-    qp = [0] * len(up)
-    rem = 0
-    for i in range(len(up) - 1, -1, -1):
-        cur = (rem << bits) | up[i]
-        qp[i] = cur // v
-        rem = cur - qp[i] * v
-    return normalize(qp), rem
+    u = _pack(up, bits)
+    q = u // v
+    return normalize(_unpack(q, len(up), bits, radix.mask)), u - q * v
 
 
 def divrem(up: Limbs, vp: Limbs, radix: Radix = DEFAULT_RADIX) -> Tuple[Limbs, Limbs]:
-    """Knuth Algorithm D division; return (quotient, remainder) vectors."""
+    """Knuth Algorithm D division; return (quotient, remainder) vectors.
+
+    The numerator lives in one Python int, but the quotient digit is
+    still estimated from the top limbs with Algorithm D's exact
+    correction loop -- so the ``mpn_divrem_qest``/``mpn_submul_1``
+    traces, and the data-dependent D6 add-back's ``mpn_add_n`` trace,
+    fire exactly as in the limb loop.
+    """
     up, vp = normalize(up), normalize(vp)
     if vp == [0]:
         raise ZeroDivisionError("mpn division by zero")
     if len(vp) == 1:
         q, r = divrem_1(up, vp[0], radix)
         return q, [r]
-    if cmp(up, vp, radix) < 0:
-        return [0], up
     bits, base, mask = radix.bits, radix.base, radix.mask
+    numerator = _pack(up, bits)
+    divisor = _pack(vp, bits)
+    if numerator < divisor:
+        return [0], up
 
     # D1: normalize so the divisor's top limb has its high bit set.
     shift = bits - vp[-1].bit_length()
     if shift:
-        vn, _ = lshift(vp, shift, radix)
-        un, carry = lshift(up, shift, radix)
-        un = un + [carry]
-    else:
-        vn = list(vp)
-        un = list(up) + [0]
-    n = len(vn)
-    m = len(un) - n - 1
+        trace("mpn_lshift", n=len(vp))
+        trace("mpn_lshift", n=len(up))
+        divisor <<= shift
+        numerator <<= shift
+    n = len(vp)
+    m = len(up) - n          # the limb loop's len(un) - n - 1 (pad limb)
+    vtop = (divisor >> ((n - 1) * bits)) & mask
+    vnext = (divisor >> ((n - 2) * bits)) & mask
+    window_mod = 1 << ((n + 1) * bits)
     qp = [0] * (m + 1)
-    vtop, vnext = vn[-1], vn[-2]
 
     for j in range(m, -1, -1):
-        # D3: estimate quotient digit from the top two/three limbs.
+        # D3: estimate the digit from the top two/three window limbs.
         # (On the target this is a division-free shift-subtract estimate;
         # see the divrem_qest kernel.)
         trace("mpn_divrem_qest", n=1)
-        num = (un[j + n] << bits) | un[j + n - 1]
+        s = j * bits
+        window = (numerator >> s) & (window_mod - 1)
+        num = window >> ((n - 1) * bits)       # (un[j+n] << bits) | un[j+n-1]
+        unext = (window >> ((n - 2) * bits)) & mask
         qhat = num // vtop
         rhat = num - qhat * vtop
-        while qhat >= base or qhat * vnext > ((rhat << bits) | un[j + n - 2]):
+        while qhat >= base or qhat * vnext > ((rhat << bits) | unext):
             qhat -= 1
             rhat += vtop
             if rhat >= base:
                 break
-        # D4: multiply and subtract (in place on the un window).
-        borrow = _submul_1_into(un, j, vn, qhat, radix)
-        top = un[j + n] - borrow
-        if top < 0:
+        # D4: multiply and subtract on the window.
+        trace("mpn_submul_1", n=n)
+        w = window - qhat * divisor
+        if w < 0:
             # D6: qhat was one too large; add back.
             qhat -= 1
-            top += _add_n_into(un, j, vn, radix)
-            top += base if top < 0 else 0
-        un[j + n] = top & mask
+            trace("mpn_add_n", n=n)
+            w += divisor
+        numerator += ((w % window_mod) - window) << s
         qp[j] = qhat
 
-    rem = normalize(un[:n])
+    rem_int = numerator & ((1 << (n * bits)) - 1)
+    rem = normalize(_unpack(rem_int, n, bits, mask))
     if shift:
-        rem, _ = rshift(rem, shift, radix)
+        trace("mpn_rshift", n=len(rem))
+        rem = _unpack(rem_int >> shift, len(rem), bits, mask)
     return normalize(qp), normalize(rem)
 
 

@@ -1010,7 +1010,13 @@ register_scenario(Scenario(
     }))
 
 
-# -- compiled fast paths (threaded-code ISS + flat mpn) ----------------------
+# -- fast paths vs their oracles (threaded-code ISS, flat mpn) ---------------
+#
+# Production runs one path: Machine.run executes threaded code and the
+# hot repro.mp.mpn routines are flat.  These scenarios price that path
+# against the oracles it replaced -- Machine.interpret and the limb
+# loops of repro.mp.mpn_reference -- which are patched in for the
+# oracle side of each comparison only.
 
 def _timed(fn, reps: int = 3) -> float:
     """Mean wall seconds of ``reps`` calls after one warm-up call."""
@@ -1021,19 +1027,36 @@ def _timed(fn, reps: int = 3) -> float:
     return (time.perf_counter() - start) / reps
 
 
+def _interpreted():
+    """Scope in which every ``Machine.run`` executes on the interpreter."""
+    from unittest import mock
+    from repro.isa.machine import Machine
+    return mock.patch.object(Machine, "run", Machine.interpret)
+
+
+def _reference_mpn():
+    """Scope in which :mod:`repro.mp.mpn` runs its limb-loop oracles."""
+    from unittest import mock
+    from repro.mp import mpn, mpn_reference
+    return mock.patch.multiple(mpn, **{
+        name: getattr(mpn_reference, name)
+        for name in mpn_reference.ROUTINES})
+
+
 def _iss_compiled_metrics() -> Dict[str, object]:
+    from contextlib import nullcontext
     from repro.isa.kernels.modexp_kernel import ModExpKernel
     from repro.isa.kernels.mpn_kernels import MpnKernels
-    from repro.isa.machine import backend_scope
     from repro.macromodel.characterize import characterize_platform
     from repro.mp.prng import DeterministicPrng
 
-    # Kernel objects are shared across backends: the point of the
-    # compiled backend is that one decoded/compiled program is reused.
+    # Kernel objects are shared by both paths: one decoded/compiled
+    # program is reused across runs.
     base = MpnKernels()
     ext = MpnKernels(4, 2)
     modexp = ModExpKernel()
     modulus = (1 << 256) - 189          # odd 256-bit modulus
+    paths = {"interp": _interpreted, "compiled": nullcontext}
 
     def kernel_menu():
         """Deterministic mixed-kernel run; returns full observables."""
@@ -1053,9 +1076,9 @@ def _iss_compiled_metrics() -> Dict[str, object]:
         return outputs
 
     observed = {}
-    for backend in ("interp", "compiled"):
-        with backend_scope(backend):
-            observed[backend] = kernel_menu()
+    for path, scope in paths.items():
+        with scope():
+            observed[path] = kernel_menu()
     mismatches = sum(1 for a, b in zip(observed["interp"],
                                        observed["compiled"]) if a != b)
 
@@ -1068,31 +1091,29 @@ def _iss_compiled_metrics() -> Dict[str, object]:
     compiled_cycles = cycles_total(observed["compiled"])
 
     # A trimmed characterization must produce identical model sets.
-    # jobs=1 keeps the stimulus jobs in-process, where backend_scope
-    # actually governs them (worker processes re-resolve from the env).
-    def char_predictions(backend):
-        with backend_scope(backend):
+    # jobs=1 keeps the stimulus jobs in-process, where the interpreter
+    # patch reaches them.
+    def char_predictions(path):
+        with paths[path]():
             models = characterize_platform(sizes=(4, 16), reps=1,
                                            modmul_overhead=False, jobs=1)
         return {routine: models.predict(routine, 16)
                 for routine in models.routines()}
 
-    char = {backend: char_predictions(backend)
-            for backend in ("interp", "compiled")}
+    char = {path: char_predictions(path) for path in paths}
     char_diff = max(abs(char["interp"][r] - char["compiled"][r])
                     for r in char["interp"])
 
     # Wall-clock speedups are machine-dependent: extras, not baseline.
     powm = lambda: modexp.powm(0x1234567, 0x1B5, modulus)
 
-    def char_wall(backend):
-        with backend_scope(backend):
+    def char_wall(path):
+        with paths[path]():
             return _timed(lambda: characterize_platform(jobs=1), 1)
 
-    with backend_scope("interp"):
+    with _interpreted():
         t_powm_interp = _timed(powm)
-    with backend_scope("compiled"):
-        t_powm_compiled = _timed(powm)
+    t_powm_compiled = _timed(powm)
     t_char_interp = char_wall("interp")
     t_char_compiled = char_wall("compiled")
     record_extra("modexp_speedup", t_powm_interp / t_powm_compiled)
@@ -1115,7 +1136,7 @@ def _iss_compiled_metrics() -> Dict[str, object]:
 
 def _mpn_fast_metrics() -> Dict[str, object]:
     from repro.crypto.modexp import ModExpEngine
-    from repro.mp import mpn, mpn_fast, mpn_backend
+    from repro.mp import mpn, mpn_reference
     from repro.mp.hooks import traced
     from repro.mp.limb import RADIX16, RADIX32
     from repro.mp.prng import DeterministicPrng
@@ -1134,26 +1155,24 @@ def _mpn_fast_metrics() -> Dict[str, object]:
         for n in (3, 9):
             rp, up = vec(n), vec(n)
             v = prng.next_int(radix.base)
-            cases.append((mpn.addmul_1, mpn_fast.addmul_1,
-                          (rp, up, v, radix)))
-            cases.append((mpn.mul_basecase, mpn_fast.mul_basecase,
-                          (up, vec(n + 2), radix)))
-            cases.append((mpn.sqr, mpn_fast.sqr, (up, radix)))
-            cases.append((mpn.divrem_1, mpn_fast.divrem_1,
+            cases.append(("addmul_1", (rp, up, v, radix)))
+            cases.append(("mul_basecase", (up, vec(n + 2), radix)))
+            cases.append(("sqr", (up, radix)))
+            cases.append(("divrem_1",
                           (up, 1 + prng.next_int(radix.mask), radix)))
-            cases.append((mpn.divrem, mpn_fast.divrem,
-                          (vec(n + 4), vec(n), radix)))
-        cases.append((mpn.sqr, mpn_fast.sqr, (vec(40), radix)))
+            cases.append(("divrem", (vec(n + 4), vec(n), radix)))
+        cases.append(("sqr", (vec(40), radix)))
         # The crafted Knuth D6 add-back trigger (see test_mpn_fast.py).
         half = radix.base // 2
-        cases.append((mpn.divrem, mpn_fast.divrem,
-                      ([0, 0, half, half - 1], [radix.mask, 0, half],
-                       radix)))
+        cases.append(("divrem", ([0, 0, half, half - 1],
+                                 [radix.mask, 0, half], radix)))
 
     value_mismatches = trace_mismatches = traced_calls = 0
-    for reference, fast, args in cases:
-        ref_result, ref_calls = traced_call(reference, *args)
-        fast_result, fast_calls = traced_call(fast, *args)
+    for name, args in cases:
+        with _reference_mpn():
+            ref_result, ref_calls = traced_call(getattr(mpn_reference, name),
+                                                *args)
+        fast_result, fast_calls = traced_call(getattr(mpn, name), *args)
         value_mismatches += ref_result != fast_result
         trace_mismatches += ref_calls != fast_calls
         traced_calls += len(fast_calls)
@@ -1162,7 +1181,7 @@ def _mpn_fast_metrics() -> Dict[str, object]:
     d6_addbacks = 0
     for radix in (RADIX32, RADIX16):
         half = radix.base // 2
-        _, calls = traced_call(mpn_fast.divrem, [0, 0, half, half - 1],
+        _, calls = traced_call(mpn.divrem, [0, 0, half, half - 1],
                                [radix.mask, 0, half], radix)
         d6_addbacks += sum(1 for name, _ in calls if name == "mpn_add_n")
 
@@ -1172,19 +1191,20 @@ def _mpn_fast_metrics() -> Dict[str, object]:
     big, big2 = prng.next_limbs(32), prng.next_limbs(32)
     num, den = prng.next_limbs(64), prng.next_limbs(32)
     record_extra("mul_basecase32_speedup",
-                 _timed(lambda: mpn.mul_basecase(big, big2), 20)
-                 / _timed(lambda: mpn_fast.mul_basecase(big, big2), 20))
+                 _timed(lambda: mpn_reference.mul_basecase(big, big2), 20)
+                 / _timed(lambda: mpn.mul_basecase(big, big2), 20))
     record_extra("divrem64_speedup",
-                 _timed(lambda: mpn.divrem(num, den), 20)
-                 / _timed(lambda: mpn_fast.divrem(num, den), 20))
+                 _timed(lambda: mpn_reference.divrem(num, den), 20)
+                 / _timed(lambda: mpn.divrem(num, den), 20))
     modulus = (1 << 512) - 569
-    walls = {}
-    for backend in ("reference", "fast"):
+
+    def powm_wall():
         engine = ModExpEngine()
-        with mpn_backend(backend):
-            walls[backend] = _timed(
-                lambda: engine.powm(0x12345, 0x10001, modulus), 2)
-    record_extra("powm_speedup", walls["reference"] / walls["fast"])
+        return _timed(lambda: engine.powm(0x12345, 0x10001, modulus), 2)
+
+    with _reference_mpn():
+        reference_wall = powm_wall()
+    record_extra("powm_speedup", reference_wall / powm_wall())
 
     return {
         "cases": float(len(cases)),

@@ -290,7 +290,6 @@ class TestCrossValidation:
 
     def test_extended_platform_validates_too(self):
         report = cross_validate(add_width=8, mac_width=8,
-                                routines=("mpn_add_n", "mpn_addmul_1"),
                                 sizes=(4, 8, 16), reps=1)
         assert report.platform == "ext(add8,mac8)"
         assert report.mean_abs_pct_error < 25.0

@@ -1,25 +1,23 @@
-"""Differential tests: compiled (threaded-code) ISS vs the interpreter.
+"""Differential tests: threaded code (``Machine.run``) vs the
+interpreter (``Machine.interpret``).
 
-The compiled backend must be **bit-identical** to the interpreter --
-cycles, instret, opcode counts, the whole profile, and final
-memory/registers -- on every registered kernel, on randomly generated
-programs, and on every error path.  These tests enforce that contract,
-plus the batched-execution API built on top of it.
+Threaded code must be **bit-identical** to the interpreter -- cycles,
+instret, opcode counts, the whole profile, and final memory/registers
+-- on every registered kernel, on randomly generated programs, and on
+every error path.  These tests enforce that contract, the fused-block
+length cap, and the batched-execution API built on top of it.
 """
 
 import hashlib
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.compile import compiled_for
-from repro.isa.machine import (ISS_BACKEND_ENV, Machine, MachineError,
-                               MachineFleet, backend_scope, resolve_backend)
-
-BACKENDS = ("interp", "compiled")
+from repro.isa.compile import MAX_BLOCK_LEN, compiled_for
+from repro.isa.machine import (Machine, MachineError, MachineFleet,
+                               resolve_backend)
 
 
 def snapshot(machine, result):
@@ -45,15 +43,15 @@ def snapshot(machine, result):
 
 def run_both(source, entry, args, extensions=None, dcache=None,
              max_instructions=200_000_000, mem_size=1 << 16):
-    """Run one program on both backends; return the two snapshots."""
+    """Run one program on the interpreter and on threaded code; return
+    the two snapshots (interpreter first)."""
     program = assemble(source, extensions)
     snaps = []
-    for backend in BACKENDS:
-        machine = Machine(program, extensions, mem_size, dcache=dcache,
-                          backend=backend)
+    for execute in (Machine.interpret, Machine.run):
+        machine = Machine(program, extensions, mem_size, dcache=dcache)
         try:
-            result = machine.run(entry, args,
-                                 max_instructions=max_instructions)
+            result = execute(machine, entry, args,
+                             max_instructions=max_instructions)
         except MachineError as exc:
             result = ("error", str(exc))
         snaps.append(snapshot(machine, result))
@@ -65,44 +63,83 @@ def assert_identical(source, entry, args, **kwargs):
     assert interp == compiled
 
 
+@pytest.fixture
+def both_paths(monkeypatch):
+    """``both_paths(fn)`` calls ``fn`` with every ``Machine.run``
+    patched to the interpreter, then again on threaded code, and
+    returns both results (interpreter first)."""
+    def run(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(Machine, "run", Machine.interpret)
+            oracle = fn()
+        return oracle, fn()
+    return run
+
+
 # ---------------------------------------------------------------------------
-# Backend selection plumbing
+# Compilation: cache and fused-block cap
 # ---------------------------------------------------------------------------
 
-class TestBackendSelection:
-    def test_default_is_interp(self, monkeypatch):
-        # The suite may itself run under $REPRO_ISS_BACKEND (CI's
-        # fast-path job); the built-in default is still interp.
-        monkeypatch.delenv(ISS_BACKEND_ENV, raising=False)
-        assert resolve_backend() == "interp"
+def _registered_kernels():
+    """One instance of every kernel class, base and extended variants."""
+    from repro.isa.kernels.aes_kernels import AesKernel
+    from repro.isa.kernels.des_kernels import DesKernel
+    from repro.isa.kernels.hash_kernels import Sha1Kernel
+    from repro.isa.kernels.kasumi_kernels import KasumiKernel
+    from repro.isa.kernels.md5_kernel import Md5Kernel
+    from repro.isa.kernels.modexp_kernel import ModExpKernel
+    from repro.isa.kernels.mpn_kernels import MpnKernels
+    return [MpnKernels(), MpnKernels(4, 2), ModExpKernel(),
+            ModExpKernel(4, 2), AesKernel(), AesKernel(extended=True),
+            DesKernel(), DesKernel(extended=True), KasumiKernel(),
+            Sha1Kernel(), Md5Kernel()]
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ISS_BACKEND_ENV, "compiled")
+
+class TestCompileCache:
+    def test_resolve_backend_reports_threaded_code(self):
         assert resolve_backend() == "compiled"
-
-    def test_scope_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ISS_BACKEND_ENV, "interp")
-        with backend_scope("compiled"):
-            assert resolve_backend() == "compiled"
-        assert resolve_backend() == "interp"
-
-    def test_explicit_arg_wins(self):
-        with backend_scope("compiled"):
-            assert resolve_backend("interp") == "interp"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(MachineError):
-            resolve_backend("jit")
-
-    def test_machine_records_backend(self):
-        program = assemble("main:\n    halt\n")
-        assert Machine(program, backend="compiled").backend == "compiled"
-        with backend_scope("compiled"):
-            assert Machine(program).backend == "compiled"
 
     def test_compile_cache_reuses_programs(self):
         program = assemble("main:\n    addi r1, r1, 1\n    halt\n")
         assert compiled_for(program, None) is compiled_for(program, None)
+
+
+class TestBlockCap:
+    def test_no_kernel_block_exceeds_cap(self):
+        for kernel in _registered_kernels():
+            runner = kernel.runner
+            ext = runner.extensions
+            compiled = compiled_for(runner.program,
+                                    ext if ext is not None and len(ext)
+                                    else None)
+            lengths = [blk[1] for blk in compiled.blocks if blk is not None]
+            assert lengths and max(lengths) <= MAX_BLOCK_LEN, \
+                type(kernel).__name__
+
+    def test_straight_line_longer_than_cap(self):
+        # Several cap-length splits, with memory ops straddling the
+        # split points and a fault in the last fused block.
+        lines = ["main:", "    li r8, 4096"]
+        for i in range(3 * MAX_BLOCK_LEN + 7):
+            if i % 9 == 4:
+                lines.append(f"    sw r{1 + i % 5}, {4 * (i % 16)}(r8)")
+            elif i % 9 == 7:
+                lines.append(f"    lw r{1 + i % 6}, {4 * (i % 16)}(r8)")
+            else:
+                lines.append(f"    addi r{1 + i % 7}, r{1 + (i + 3) % 7}, "
+                             f"{i}")
+        source = "\n".join(lines + ["    halt"]) + "\n"
+        program = assemble(source)
+        blocks = [blk for blk in compiled_for(program).blocks if blk]
+        assert len(blocks) > 3
+        assert_identical(source, "main", [])
+        assert_identical(source, "main", [],
+                         max_instructions=2 * MAX_BLOCK_LEN + 3)
+        faulting = source.replace(
+            "    halt", "    li r9, 0x7FFFFFF0\n    lw r1, 0(r9)\n    halt")
+        interp, compiled = run_both(faulting, "main", [])
+        assert interp["result"][1].startswith("memory access out of range")
+        assert interp == compiled
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +148,23 @@ class TestBackendSelection:
 
 class TestKernelParity:
     """Each kernel runner must return identical values, cycles, and
-    (where exposed) profiles on both backends."""
+    (where exposed) profiles on the interpreter and on threaded code."""
 
-    def _mpn_state_parity(self, kernels, method, *args):
-        """Run an mpn kernel op on explicitly constructed machines so
+    @staticmethod
+    def _mpn_state_parity(both_paths, kernels, method, *args):
+        """Run an mpn kernel op on an explicitly constructed machine so
         the full machine state can be compared, not just the return."""
-        snaps = []
-        for backend in BACKENDS:
+        def run():
             machine = Machine(kernels.runner.program,
                               kernels.runner.extensions,
-                              kernels.runner.mem_size, backend=backend)
+                              kernels.runner.mem_size)
             result = getattr(kernels, method)(*args, machine=machine)
-            snaps.append(snapshot(machine, result))
-        assert snaps[0] == snaps[1]
+            return snapshot(machine, result)
 
-    def test_mpn_base_kernels(self):
+        oracle, compiled = both_paths(run)
+        assert oracle == compiled
+
+    def test_mpn_base_kernels(self, both_paths):
         from repro.isa.kernels.mpn_kernels import MpnKernels
         from repro.mp.prng import DeterministicPrng
         kernels = MpnKernels()
@@ -133,103 +172,101 @@ class TestKernelParity:
         for n in (1, 3, 8):
             up, vp = prng.next_limbs(n), prng.next_limbs(n)
             v = prng.next_bits(32)
-            self._mpn_state_parity(kernels, "add_n", up, vp)
-            self._mpn_state_parity(kernels, "sub_n", up, vp)
-            self._mpn_state_parity(kernels, "mul_1", up, v)
-            self._mpn_state_parity(kernels, "addmul_1", vp, up, v)
-            self._mpn_state_parity(kernels, "submul_1", vp, up, v)
-            self._mpn_state_parity(kernels, "lshift", up, 1 + n)
-        self._mpn_state_parity(kernels, "divrem_qest",
+            self._mpn_state_parity(both_paths, kernels, "add_n", up, vp)
+            self._mpn_state_parity(both_paths, kernels, "sub_n", up, vp)
+            self._mpn_state_parity(both_paths, kernels, "mul_1", up, v)
+            self._mpn_state_parity(both_paths, kernels, "addmul_1", vp, up, v)
+            self._mpn_state_parity(both_paths, kernels, "submul_1", vp, up, v)
+            self._mpn_state_parity(both_paths, kernels, "lshift", up, 1 + n)
+        self._mpn_state_parity(both_paths, kernels, "divrem_qest",
                                0x12345678, 0x9ABCDEF0, 0xF0000001)
 
-    def test_mpn_extended_kernels(self):
+    def test_mpn_extended_kernels(self, both_paths):
         from repro.isa.kernels.mpn_kernels import MpnKernels
         from repro.mp.prng import DeterministicPrng
         kernels = MpnKernels(4, 2)
         prng = DeterministicPrng(0xE57)
         for n in (2, 7):
             up, vp = prng.next_limbs(n), prng.next_limbs(n)
-            self._mpn_state_parity(kernels, "add_n", up, vp)
-            self._mpn_state_parity(kernels, "addmul_1", vp, up,
-                                   prng.next_bits(32))
+            self._mpn_state_parity(both_paths, kernels, "add_n", up, vp)
+            self._mpn_state_parity(both_paths, kernels, "addmul_1", vp,
+                                   up, prng.next_bits(32))
 
-    def test_modexp_kernel(self):
+    def test_modexp_kernel(self, both_paths):
         from repro.isa.kernels.modexp_kernel import ModExpKernel
         kernel = ModExpKernel()
-        results = []
-        for backend in BACKENDS:
-            with backend_scope(backend):
-                value, cycles, profile = kernel.powm(
-                    0x1234567, 0x10001, 0xF0000001_F0000001)
-            results.append((value, cycles, profile.total_cycles,
-                            profile.instructions,
-                            dict(profile.local_cycles),
-                            dict(profile.inclusive_cycles),
-                            dict(profile.call_edges),
-                            dict(profile.call_counts)))
-        assert results[0] == results[1]
 
-    def test_modexp_kernel_extended(self):
+        def powm():
+            value, cycles, profile = kernel.powm(
+                0x1234567, 0x10001, 0xF0000001_F0000001)
+            return (value, cycles, profile.total_cycles,
+                    profile.instructions,
+                    dict(profile.local_cycles),
+                    dict(profile.inclusive_cycles),
+                    dict(profile.call_edges),
+                    dict(profile.call_counts))
+
+        oracle, compiled = both_paths(powm)
+        assert oracle == compiled
+
+    def test_modexp_kernel_extended(self, both_paths):
         from repro.isa.kernels.modexp_kernel import ModExpKernel
         kernel = ModExpKernel(4, 2)
-        results = []
-        for backend in BACKENDS:
-            with backend_scope(backend):
-                results.append(kernel.powm(0xCAFE, 0x101,
-                                           0xD0000001_D0000001)[:2])
-        assert results[0] == results[1]
+        oracle, compiled = both_paths(
+            lambda: kernel.powm(0xCAFE, 0x101, 0xD0000001_D0000001)[:2])
+        assert oracle == compiled
 
     @pytest.mark.parametrize("case", ["aes", "des", "3des", "kasumi",
                                       "sha1", "md5"])
-    def test_symmetric_and_hash_kernels(self, case):
+    def test_symmetric_and_hash_kernels(self, case, both_paths):
         block = bytes(range(8 if case in ("des", "3des") else 16))
         key16 = bytes(range(16))
-        results = []
-        for backend in BACKENDS:
-            with backend_scope(backend):
-                if case == "aes":
-                    from repro.isa.kernels.aes_kernels import AesKernel
-                    results.append(AesKernel().encrypt_block(block, key16))
-                elif case == "des":
-                    from repro.isa.kernels.des_kernels import DesKernel
-                    results.append(DesKernel().crypt_block(block, key16[:8]))
-                elif case == "3des":
-                    from repro.isa.kernels.des_kernels import DesKernel
-                    results.append(DesKernel().crypt_3des_block(
-                        block, bytes(range(24))))
-                elif case == "kasumi":
-                    from repro.isa.kernels.kasumi_kernels import KasumiKernel
-                    results.append(KasumiKernel().crypt_block(block, key16))
-                elif case == "sha1":
-                    from repro.isa.kernels.hash_kernels import Sha1Kernel
-                    results.append(Sha1Kernel().compress(
-                        [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
-                         0xC3D2E1F0], bytes(range(64))))
-                else:
-                    from repro.isa.kernels.md5_kernel import Md5Kernel
-                    results.append(Md5Kernel().compress(
-                        [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476],
-                        bytes(range(64))))
-        assert results[0] == results[1]
 
-    def test_dcache_parity(self):
+        def run():
+            if case == "aes":
+                from repro.isa.kernels.aes_kernels import AesKernel
+                return AesKernel().encrypt_block(block, key16)
+            if case == "des":
+                from repro.isa.kernels.des_kernels import DesKernel
+                return DesKernel().crypt_block(block, key16[:8])
+            if case == "3des":
+                from repro.isa.kernels.des_kernels import DesKernel
+                return DesKernel().crypt_3des_block(block, bytes(range(24)))
+            if case == "kasumi":
+                from repro.isa.kernels.kasumi_kernels import KasumiKernel
+                return KasumiKernel().crypt_block(block, key16)
+            if case == "sha1":
+                from repro.isa.kernels.hash_kernels import Sha1Kernel
+                return Sha1Kernel().compress(
+                    [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
+                     0xC3D2E1F0], bytes(range(64)))
+            from repro.isa.kernels.md5_kernel import Md5Kernel
+            return Md5Kernel().compress(
+                [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476],
+                bytes(range(64)))
+
+        oracle, compiled = both_paths(run)
+        assert oracle == compiled
+
+    def test_dcache_parity(self, both_paths):
+        from repro.isa.cache import CacheConfig
         from repro.isa.kernels.mpn_kernels import MpnKernels
         from repro.mp.prng import DeterministicPrng
         kernels = MpnKernels()
         prng = DeterministicPrng(0xDCAC)
         up, vp = prng.next_limbs(6), prng.next_limbs(6)
-        snaps = []
-        for backend in BACKENDS:
-            from repro.isa.cache import CacheConfig
+
+        def run():
             machine = Machine(kernels.runner.program, None,
                               kernels.runner.mem_size,
                               dcache=CacheConfig(size_bytes=256,
                                                  line_bytes=16,
-                                                 miss_penalty=9),
-                              backend=backend)
+                                                 miss_penalty=9))
             result = kernels.add_n(up, vp, machine=machine)
-            snaps.append(snapshot(machine, result))
-        assert snaps[0] == snaps[1]
+            return snapshot(machine, result)
+
+        oracle, compiled = both_paths(run)
+        assert oracle == compiled
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +346,7 @@ class TestDifferentialFuzz:
     @settings(max_examples=25)
     def test_random_programs_under_budget_pressure(self, data):
         """A tiny instruction budget must trap at the same instruction
-        (same state) on both backends."""
+        (same state) on the interpreter and on threaded code."""
         source = _random_program(data.draw)
         budget = data.draw(st.integers(1, 12))
         assert_identical(source, "main", [], max_instructions=budget)
@@ -338,14 +375,27 @@ class TestErrorParity:
         source = ("main:\n"
                   "    addi r1, r1, 5\n"
                   "    addi r2, r2, 6\n"
-                  "    lw r3, 0(r7)\n"     # r7 = huge address from args
+                  "    lw r3, 0(r6)\n"     # r6 = huge address from args
                   "    addi r4, r4, 7\n"
                   "    halt\n")
         assert_identical(source, "main", [0, 0, 0, 0, 0, 0x7FFFFFF0])
 
+    def test_memory_fault_on_single_steps(self):
+        # The block does not fit the budget, so it runs as single
+        # steps; the fault must not be repaired as a fused-block fault.
+        source = ("main:\n"
+                  "    addi r1, r1, 5\n"
+                  "    lw r3, 0(r6)\n"      # r6 = huge address from args
+                  "    addi r4, r4, 7\n"
+                  "    halt\n")
+        interp, _ = run_both(source, "main", [0, 0, 0, 0, 0, 0x7FFFFFF0])
+        assert interp["result"][0] == "error"
+        assert_identical(source, "main", [0, 0, 0, 0, 0, 0x7FFFFFF0],
+                         max_instructions=3)
+
     def test_unknown_opcode(self):
         # Assemble with an extension, run without it: the machine must
-        # fault on the custom opcode identically on both backends.
+        # fault on the custom opcode identically on both paths.
         from repro.isa.custom import make_vaddc
         from repro.isa.extensions import ExtensionSet
         ext = ExtensionSet()
@@ -354,10 +404,10 @@ class TestErrorParity:
             "main:\n    addi r1, r1, 3\n    vaddc_2 r1, r2, r3\n    halt\n",
             ext)
         snaps = []
-        for backend in BACKENDS:
-            machine = Machine(program, None, 1 << 16, backend=backend)
+        for execute in (Machine.interpret, Machine.run):
+            machine = Machine(program, None, 1 << 16)
             try:
-                result = machine.run("main", [])
+                result = execute(machine, "main", [])
             except MachineError as exc:
                 result = ("error", str(exc))
             snaps.append(snapshot(machine, result))
@@ -399,15 +449,12 @@ class TestBatching:
     def test_run_batch_matches_fresh_runs(self):
         program = assemble(self.SOURCE)
         requests = [("main", [i, 2 * i]) for i in range(6)]
-        for backend in BACKENDS:
-            batched = Machine(program, backend=backend,
-                              mem_size=1 << 12).run_batch(requests)
-            singles = []
-            for entry, args in requests:
-                machine = Machine(program, backend=backend,
-                                  mem_size=1 << 12)
-                singles.append((machine.run(entry, args), machine.cycles))
-            assert batched == singles
+        batched = Machine(program, mem_size=1 << 12).run_batch(requests)
+        singles = []
+        for entry, args in requests:
+            machine = Machine(program, mem_size=1 << 12)
+            singles.append((machine.run(entry, args), machine.cycles))
+        assert batched == singles
 
     def test_fleet_serial_matches_threaded(self):
         from repro.parallel import ThreadExecutor
@@ -419,26 +466,16 @@ class TestBatching:
             threaded = fleet.run_batch(requests, executor=pool)
         assert serial == threaded
 
-    def test_fleet_tracks_backend_scope(self, monkeypatch):
-        monkeypatch.delenv(ISS_BACKEND_ENV, raising=False)
-        fleet = MachineFleet(assemble(self.SOURCE), mem_size=1 << 12)
-        assert fleet.machine().backend == "interp"
-        with backend_scope("compiled"):
-            assert fleet.machine().backend == "compiled"
-        assert fleet.machine().backend == "interp"
-
     def test_reset_machine_matches_fresh(self):
         program = assemble(self.SOURCE)
-        for backend in BACKENDS:
-            reused = Machine(program, backend=backend, mem_size=1 << 12)
-            reused.run("main", [5, 7])
-            reused.reset()
-            fresh = Machine(program, backend=backend, mem_size=1 << 12)
-            results = (reused.run("main", [9, 11]),
-                       fresh.run("main", [9, 11]))
-            assert results[0] == results[1]
-            assert snapshot(reused, results[0]) == snapshot(fresh,
-                                                            results[1])
+        reused = Machine(program, mem_size=1 << 12)
+        reused.run("main", [5, 7])
+        reused.reset()
+        fresh = Machine(program, mem_size=1 << 12)
+        results = (reused.run("main", [9, 11]),
+                   fresh.run("main", [9, 11]))
+        assert results[0] == results[1]
+        assert snapshot(reused, results[0]) == snapshot(fresh, results[1])
 
     def test_kernel_batch_matches_singles(self):
         from repro.isa.kernels.mpn_kernels import MpnKernels

@@ -1,20 +1,20 @@
-"""Equivalence suite for the flat mpn fast path.
+"""Equivalence suite for the flat mpn routines.
 
-:mod:`repro.mp.mpn_fast` must match the reference loops on **values**
-and on **trace sequences** (names, order, size parameters) -- the
-latter is what keeps macro-model cycle estimates, and therefore every
-recorded baseline, byte-identical under the fast backend.
+The flat routines of :mod:`repro.mp.mpn` must match their limb-loop
+oracles in :mod:`repro.mp.mpn_reference` on **values** and on **trace
+sequences** (names, order, size parameters) -- the latter is what keeps
+macro-model cycle estimates, and therefore every recorded baseline,
+independent of how the host computes the value.
 """
 
-import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mp import (MPN_BACKEND_ENV, active_backend, mpn_backend,
-                      select_backend, Mpz)
-from repro.mp import mpn, mpn_fast
+from repro.mp import Mpz, active_backend
+from repro.mp import mpn, mpn_reference
 from repro.mp.hooks import traced
 from repro.mp.limb import RADIX16, RADIX32
 
@@ -34,10 +34,32 @@ def traced_call(fn, *args, **kwargs):
     return result, calls
 
 
-def assert_equivalent(reference, fast, *args, radix=RADIX32):
-    ref = traced_call(reference, *args, radix)
-    got = traced_call(fast, *args, radix)
+def reference_mpn():
+    """Scope in which the six flat :mod:`repro.mp.mpn` routines are
+    replaced by their :mod:`repro.mp.mpn_reference` oracles, so an
+    oracle's own calls into the mpn layer stay on the limb loops."""
+    return mock.patch.multiple(mpn, **{
+        name: getattr(mpn_reference, name)
+        for name in mpn_reference.ROUTINES})
+
+
+def assert_equivalent(name, *args, radix=RADIX32):
+    with reference_mpn():
+        ref = traced_call(getattr(mpn_reference, name), *args, radix)
+    got = traced_call(getattr(mpn, name), *args, radix)
     assert ref == got
+
+
+@pytest.fixture
+def both_libraries():
+    """``both_libraries(fn)`` calls ``fn`` on the reference limb loops,
+    then on the flat routines, and returns both results (reference
+    first)."""
+    def run(fn):
+        with reference_mpn():
+            reference = fn()
+        return reference, fn()
+    return run
 
 
 def vec_strategy(radix, min_size=1, max_size=12):
@@ -58,12 +80,11 @@ class TestLeafParity:
         rp = data.draw(vec_strategy(radix, n, n))
         up = data.draw(vec_strategy(radix, n, n))
         v = data.draw(st.integers(0, radix.mask))
-        assert_equivalent(mpn.addmul_1, mpn_fast.addmul_1, rp, up, v,
-                          radix=radix)
+        assert_equivalent("addmul_1", rp, up, v, radix=radix)
 
     def test_addmul_1_length_mismatch(self):
         with pytest.raises(ValueError):
-            mpn_fast.addmul_1([1, 2], [1], 3)
+            mpn.addmul_1([1, 2], [1], 3)
 
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
     @given(data=st.data())
@@ -75,9 +96,9 @@ class TestLeafParity:
         up = data.draw(vec_strategy(radix, n, n))
         v = data.draw(st.integers(0, radix.mask))
         ref_rp, fast_rp = list(rp), list(rp)
-        ref = traced_call(mpn._addmul_1_into, ref_rp, offset, up, v, radix)
-        got = traced_call(mpn_fast._addmul_1_into, fast_rp, offset, up, v,
-                          radix)
+        ref = traced_call(mpn_reference._addmul_1_into, ref_rp, offset, up,
+                          v, radix)
+        got = traced_call(mpn._addmul_1_into, fast_rp, offset, up, v, radix)
         assert ref == got and ref_rp == fast_rp
 
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
@@ -86,8 +107,7 @@ class TestLeafParity:
     def test_mul_basecase(self, radix, data):
         up = data.draw(vec_strategy(radix))
         vp = data.draw(vec_strategy(radix))
-        assert_equivalent(mpn.mul_basecase, mpn_fast.mul_basecase,
-                          up, vp, radix=radix)
+        assert_equivalent("mul_basecase", up, vp, radix=radix)
 
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
     @given(data=st.data())
@@ -97,7 +117,7 @@ class TestLeafParity:
         # base case and the delegated Karatsuba path.
         up = data.draw(vec_strategy(radix, 1,
                                     2 * mpn.KARATSUBA_THRESHOLD + 4))
-        assert_equivalent(mpn.sqr, mpn_fast.sqr, up, radix=radix)
+        assert_equivalent("sqr", up, radix=radix)
 
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
     @given(data=st.data())
@@ -105,12 +125,11 @@ class TestLeafParity:
     def test_divrem_1(self, radix, data):
         up = data.draw(vec_strategy(radix))
         v = data.draw(st.integers(1, radix.mask))
-        assert_equivalent(mpn.divrem_1, mpn_fast.divrem_1, up, v,
-                          radix=radix)
+        assert_equivalent("divrem_1", up, v, radix=radix)
 
     def test_divrem_1_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            mpn_fast.divrem_1([1], 0)
+            mpn.divrem_1([1], 0)
 
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
     @given(data=st.data())
@@ -120,17 +139,16 @@ class TestLeafParity:
         vp = data.draw(vec_strategy(radix, 1, 8))
         if mpn.normalize(vp) == [0]:
             vp[-1] = data.draw(st.integers(1, radix.mask))
-        assert_equivalent(mpn.divrem, mpn_fast.divrem, up, vp,
-                          radix=radix)
+        assert_equivalent("divrem", up, vp, radix=radix)
 
     def test_divrem_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            mpn_fast.divrem([1, 2], [0, 0])
+            mpn.divrem([1, 2], [0, 0])
 
     @given(nonneg, positive)
     @settings(max_examples=60)
     def test_divrem_matches_int(self, a, b):
-        q, r = mpn_fast.divrem(mpn.from_int(a), mpn.from_int(b))
+        q, r = mpn.divrem(mpn.from_int(a), mpn.from_int(b))
         assert mpn.to_int(q) == a // b
         assert mpn.to_int(r) == a % b
 
@@ -139,7 +157,7 @@ class TestAddbackPath:
     """The crafted Algorithm D add-back trigger (from test_mpn.py,
     generalized per radix): the divisor's zero middle limb blinds the
     3-limb qhat check, D4 underflows, and the rare D6 correction runs.
-    The fast path must take it on the same iteration with the same
+    The flat divrem must take it on the same iteration with the same
     ``mpn_add_n`` trace."""
 
     @staticmethod
@@ -152,8 +170,8 @@ class TestAddbackPath:
     @pytest.mark.parametrize("radix", RADICES, ids=("r32", "r16"))
     def test_addback_fires_identically(self, radix):
         u, v = self.trigger(radix)
-        ref = traced_call(mpn.divrem, u, v, radix)
-        got = traced_call(mpn_fast.divrem, u, v, radix)
+        ref = traced_call(mpn_reference.divrem, u, v, radix)
+        got = traced_call(mpn.divrem, u, v, radix)
         assert ref == got
         addbacks = [c for c in got[1] if c[0] == "mpn_add_n"]
         assert len(addbacks) == 1
@@ -165,89 +183,42 @@ class TestAddbackPath:
 
 
 # ---------------------------------------------------------------------------
-# Backend selection and integration
+# Integration
 # ---------------------------------------------------------------------------
 
-class TestBackendSelection:
-    def test_default_follows_environment(self):
-        # reference unless the suite itself runs under
-        # $REPRO_MPN_BACKEND=fast (CI's fast-path job), which installs
-        # the fast backend at import time.
-        expected = ("fast" if os.environ.get(MPN_BACKEND_ENV, "")
-                    .strip().lower() == "fast" else "reference")
-        assert active_backend() == expected
-
-    def test_select_and_restore(self):
-        assert select_backend("fast") == "fast"
-        try:
-            assert active_backend() == "fast"
-            assert mpn.addmul_1 is mpn_fast.addmul_1
-            assert mpn.divrem is mpn_fast.divrem
-        finally:
-            assert select_backend("reference") == "reference"
-        assert active_backend() == "reference"
-        assert mpn.divrem is not mpn_fast.divrem
-
-    def test_alias_and_env(self, monkeypatch):
-        assert select_backend("ref") == "reference"
-        monkeypatch.setenv("REPRO_MPN_BACKEND", "fast")
-        try:
-            assert select_backend() == "fast"
-        finally:
-            select_backend("reference")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            select_backend("turbo")
-
-    def test_scope_restores(self):
-        with mpn_backend("fast"):
-            assert active_backend() == "fast"
-        assert active_backend() == "reference"
-
-    def test_install_idempotent(self):
-        mpn_fast.install()
-        try:
-            saved_divrem = mpn.divrem
-            mpn_fast.install()
-            assert mpn.divrem is saved_divrem is mpn_fast.divrem
-        finally:
-            mpn_fast.uninstall()
-            mpn_fast.uninstall()
-        assert not mpn_fast.installed()
-
-
 class TestIntegration:
+    def test_active_backend_reports_flat_routines(self):
+        assert active_backend() == "fast"
+
     @given(nonneg, nonneg)
     @settings(max_examples=25)
     def test_mpz_mul_under_fast_backend(self, a, b):
-        with mpn_backend("fast"):
-            assert int(Mpz(a) * Mpz(b)) == a * b
+        assert int(Mpz(a) * Mpz(b)) == a * b
 
     @given(nonneg, positive)
     @settings(max_examples=25)
     def test_mpz_divmod_under_fast_backend(self, a, b):
-        with mpn_backend("fast"):
-            q, r = divmod(Mpz(a), Mpz(b))
-            assert (int(q), int(r)) == divmod(a, b)
+        q, r = divmod(Mpz(a), Mpz(b))
+        assert (int(q), int(r)) == divmod(a, b)
 
-    def test_powm_value_and_estimate_identical(self):
+    def test_powm_value_and_estimate_identical(self, both_libraries):
         """A full Montgomery powm must produce the same value AND the
-        same macro-model cycle estimate under either backend (trace
-        identity end to end)."""
+        same macro-model cycle estimate on the reference limb loops and
+        on the flat routines (trace identity end to end)."""
         from repro.costs.cache import characterize_cached
         from repro.crypto.modexp import ModExpEngine
         from repro.macromodel import estimate_cycles
         models = characterize_cached(0, 0)
         modulus = (1 << 256) - 189     # odd
-        results = {}
-        for backend in ("reference", "fast"):
-            # Fresh engine per backend: the per-modulus Montgomery
+
+        def powm():
+            # Fresh engine per library: the per-modulus Montgomery
             # setup cache would otherwise hide setup traces from the
-            # second run regardless of backend.
+            # second run.
             engine = ModExpEngine()
             op = lambda: engine.powm(0x12345, 0x10001, modulus)
-            with mpn_backend(backend):
-                est = estimate_cycles(models, op)
-                results[backend] = (int(op()), est.cycles)
-        assert results["reference"] == results["fast"]
+            est = estimate_cycles(models, op)
+            return int(op()), est.cycles
+
+        reference, flat = both_libraries(powm)
+        assert reference == flat
