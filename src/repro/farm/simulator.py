@@ -122,7 +122,12 @@ class Core:
         #: touch, so protocols never compete for cache slots and their
         #: hit/miss counters stay separable.
         self.caches: Dict[str, SessionCache] = {}
+        #: Queued requests with their dispatch-time estimates.  Mutate
+        #: it only through :meth:`enqueue`, :meth:`dequeue` and
+        #: :meth:`drain`, which keep :meth:`backlog_cycles`' cached
+        #: sum honest.
         self.queue: Deque[Tuple[SessionRequest, float]] = deque()
+        self._queued: Optional[float] = None
         self.current: Optional[SessionRequest] = None
         self.busy_until = 0.0
         self.busy_cycles = 0.0
@@ -148,16 +153,34 @@ class Core:
                 self.cache_capacity)
         return cache
 
-    @property
-    def cache(self) -> SessionCache:
-        """The SSL session cache (the historical single-cache surface)."""
-        return self.cache_for("ssl")
+    def enqueue(self, request: SessionRequest, estimate: float) -> None:
+        self.queue.append((request, estimate))
+        self._queued = None
+
+    def dequeue(self) -> SessionRequest:
+        request, _ = self.queue.popleft()
+        self._queued = None
+        return request
+
+    def drain(self) -> List[SessionRequest]:
+        """Empty the run queue, returning its requests in order."""
+        requests = [request for request, _ in self.queue]
+        self.queue.clear()
+        self._queued = None
+        return requests
 
     def backlog_cycles(self, now: float) -> float:
         """Estimated outstanding work: remainder of the in-flight
-        request plus the (full-handshake-priced) queued estimates."""
-        remaining = max(0.0, self.busy_until - now)
-        return remaining + sum(est for _, est in self.queue)
+        request plus the (full-handshake-priced) queued estimates.
+
+        The queued sum is cached between queue mutations and
+        recomputed left to right, never kept as a running total: a
+        running total would round differently and could flip the
+        least-loaded scheduler's ties."""
+        queued = self._queued
+        if queued is None:
+            queued = self._queued = sum(est for _, est in self.queue)
+        return max(0.0, self.busy_until - now) + queued
 
     def knows_session(self, session_id: bytes,
                       protocol: str = "ssl") -> bool:
@@ -304,7 +327,7 @@ class FarmSimulator:
                 target = self.scheduler.select(request, cores, now)
                 core = cores[target]
                 estimate = cost_of(request, core.active_costs).cycles
-                core.queue.append((request, estimate))
+                core.enqueue(request, estimate)
                 if trace:
                     tracer.event("farm.core.queue_depth", time=now,
                                  core=core.index, depth=len(core.queue))
@@ -416,8 +439,7 @@ class FarmSimulator:
                                core.busy_until))
                 core.current = None
                 displaced.append(request)
-            displaced.extend(request for request, _ in core.queue)
-            core.queue.clear()
+            displaced.extend(core.drain())
             core.busy_until = now
             retry = now + plan.redispatch_penalty_cycles
             for request in displaced:
@@ -465,7 +487,7 @@ class FarmSimulator:
     @staticmethod
     def _start_next(core: Core, now: float, heap, starts,
                     tracer=NULL_TRACER, trace: bool = False) -> None:
-        request, _ = core.queue.popleft()
+        request = core.dequeue()
         hit = False
         if request.resumed:
             model = get_protocol(request.protocol)

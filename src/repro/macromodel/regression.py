@@ -17,7 +17,7 @@ small parsimony penalty.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -65,11 +65,23 @@ class FitResult:
     width: int                     # chunk width for step_affine (else 1)
     mean_abs_pct_error: float      # on the training data
     max_abs_pct_error: float
+    #: Predictions already made, keyed on ``n`` (``3`` and ``3.0``
+    #: share a slot).  Callers ask for a handful of limb counts over
+    #: and over, so each is evaluated once; a miss runs the numpy
+    #: expression below, so every estimate stays bit-identical.  Not
+    #: part of equality, ``repr`` or the persisted form.
+    _memo: Dict[float, float] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def predict(self, n: float) -> float:
+        try:
+            return self._memo[n]
+        except KeyError:
+            pass
         arr = np.array([float(n)])
         basis = FORMS[self.form](arr, self.width)
-        return float((basis @ np.array(self.coeffs))[0])
+        value = self._memo[n] = float((basis @ np.array(self.coeffs))[0])
+        return value
 
 
 def fit_form(samples: Sequence[Tuple[float, float]], form: str,

@@ -19,16 +19,15 @@ stays cycle-free.
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["BASELINE_SCHEMA", "DEFAULT_BASELINE_DIR", "Gate",
            "MetricDiff", "Scenario", "ScenarioReport", "baseline_filename",
            "baseline_path", "check_scenarios", "compare_metrics",
-           "get_scenario", "load_baseline", "record_extra",
-           "register_scenario", "render_report", "run_scenario",
-           "scenario_extras", "scenario_names", "write_baseline"]
+           "get_scenario", "load_baseline", "register_scenario",
+           "render_report", "run_scenario", "scenario_names",
+           "write_baseline"]
 
 BASELINE_SCHEMA = 1
 
@@ -92,46 +91,9 @@ def get_scenario(name: str) -> Scenario:
     return _SCENARIOS[name]
 
 
-# Non-gated side-channel values (wall-clock, measured speedups) keyed
-# by scenario name.  Extras are machine-dependent by nature, so they
-# are surfaced in the CLI's JSON envelope but NEVER written into
-# baselines -- baselines stay byte-stable.
-_EXTRAS: Dict[str, Dict[str, object]] = {}
-_running_scenario: List[str] = []
-
-
-def record_extra(key: str, value) -> None:
-    """Attach a non-gated extra to the currently running scenario.
-
-    A no-op outside :func:`run_scenario`, so scenario bodies can call
-    it unconditionally.
-    """
-    if _running_scenario:
-        _EXTRAS.setdefault(_running_scenario[-1], {})[key] = value
-
-
-def scenario_extras(name: str) -> Dict[str, object]:
-    """Extras recorded by ``name``'s most recent run (possibly empty)."""
-    return dict(_EXTRAS.get(name, ()))
-
-
 def run_scenario(name: str) -> Dict[str, object]:
-    """Run one scenario and return its (sorted) metrics dict.
-
-    Wall-clock for the run is recorded as the ``wall_seconds`` extra
-    (see :func:`scenario_extras`) -- visible in ``bench --json``
-    envelopes but excluded from baselines.
-    """
-    scenario = get_scenario(name)
-    _EXTRAS.pop(name, None)
-    _running_scenario.append(name)
-    start = time.perf_counter()
-    try:
-        metrics = scenario.run()
-    finally:
-        wall = time.perf_counter() - start
-        _running_scenario.pop()
-        _EXTRAS.setdefault(name, {})["wall_seconds"] = wall
+    """Run one scenario and return its (sorted) metrics dict."""
+    metrics = get_scenario(name).run()
     return {key: metrics[key] for key in sorted(metrics)}
 
 
@@ -1018,15 +980,6 @@ register_scenario(Scenario(
 # loops of repro.mp.mpn_reference -- which are patched in for the
 # oracle side of each comparison only.
 
-def _timed(fn, reps: int = 3) -> float:
-    """Mean wall seconds of ``reps`` calls after one warm-up call."""
-    fn()
-    start = time.perf_counter()
-    for _ in range(reps):
-        fn()
-    return (time.perf_counter() - start) / reps
-
-
 def _interpreted():
     """Scope in which every ``Machine.run`` executes on the interpreter."""
     from unittest import mock
@@ -1104,25 +1057,6 @@ def _iss_compiled_metrics() -> Dict[str, object]:
     char_diff = max(abs(char["interp"][r] - char["compiled"][r])
                     for r in char["interp"])
 
-    # Wall-clock speedups are machine-dependent: extras, not baseline.
-    powm = lambda: modexp.powm(0x1234567, 0x1B5, modulus)
-
-    def char_wall(path):
-        with paths[path]():
-            return _timed(lambda: characterize_platform(jobs=1), 1)
-
-    with _interpreted():
-        t_powm_interp = _timed(powm)
-    t_powm_compiled = _timed(powm)
-    t_char_interp = char_wall("interp")
-    t_char_compiled = char_wall("compiled")
-    record_extra("modexp_speedup", t_powm_interp / t_powm_compiled)
-    record_extra("characterize_speedup", t_char_interp / t_char_compiled)
-    record_extra("modexp_interp_seconds", t_powm_interp)
-    record_extra("modexp_compiled_seconds", t_powm_compiled)
-    record_extra("characterize_interp_seconds", t_char_interp)
-    record_extra("characterize_compiled_seconds", t_char_compiled)
-
     return {
         "runs": float(len(observed["interp"])),
         "backend_mismatches": float(mismatches),
@@ -1135,7 +1069,6 @@ def _iss_compiled_metrics() -> Dict[str, object]:
 
 
 def _mpn_fast_metrics() -> Dict[str, object]:
-    from repro.crypto.modexp import ModExpEngine
     from repro.mp import mpn, mpn_reference
     from repro.mp.hooks import traced
     from repro.mp.limb import RADIX16, RADIX32
@@ -1184,27 +1117,6 @@ def _mpn_fast_metrics() -> Dict[str, object]:
         _, calls = traced_call(mpn.divrem, [0, 0, half, half - 1],
                                [radix.mask, 0, half], radix)
         d6_addbacks += sum(1 for name, _ in calls if name == "mpn_add_n")
-
-    # Wall-clock speedups (extras): the composite routines where the
-    # flat forms win, plus an end-to-end Montgomery powm.
-    prng = DeterministicPrng(0x5EED)
-    big, big2 = prng.next_limbs(32), prng.next_limbs(32)
-    num, den = prng.next_limbs(64), prng.next_limbs(32)
-    record_extra("mul_basecase32_speedup",
-                 _timed(lambda: mpn_reference.mul_basecase(big, big2), 20)
-                 / _timed(lambda: mpn.mul_basecase(big, big2), 20))
-    record_extra("divrem64_speedup",
-                 _timed(lambda: mpn_reference.divrem(num, den), 20)
-                 / _timed(lambda: mpn.divrem(num, den), 20))
-    modulus = (1 << 512) - 569
-
-    def powm_wall():
-        engine = ModExpEngine()
-        return _timed(lambda: engine.powm(0x12345, 0x10001, modulus), 2)
-
-    with _reference_mpn():
-        reference_wall = powm_wall()
-    record_extra("powm_speedup", reference_wall / powm_wall())
 
     return {
         "cases": float(len(cases)),

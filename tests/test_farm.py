@@ -5,17 +5,19 @@ costs, frozen) so no ISS characterization runs -- the farm layer is a
 pure function of these numbers.
 """
 
+import random
+
 import pytest
 
-from repro.farm import (FarmSimulator, LeastLoadedScheduler,
-                        PreferentialScheduler, RoundRobinScheduler,
-                        SCHEDULERS, SessionRequest, TrafficProfile,
-                        build_farm, capacity_table, cores_for_rate,
-                        cost_of, farm_rate_targets, generate_requests,
-                        is_public_key_heavy, make_scheduler, percentile,
-                        plan_farm, session_id_for_client,
+from repro.farm import (FarmSimulator, FaultEvent, FaultPlan,
+                        LeastLoadedScheduler, PreferentialScheduler,
+                        RoundRobinScheduler, SCHEDULERS, SessionRequest,
+                        TrafficProfile, build_farm, capacity_table,
+                        cores_for_rate, cost_of, farm_rate_targets,
+                        generate_requests, is_public_key_heavy, make_scheduler,
+                        percentile, plan_farm, session_id_for_client,
                         specs_as_configs, summarize)
-from repro.farm.simulator import BASE_CORE_GATES, extension_gates
+from repro.farm.simulator import BASE_CORE_GATES, Core, extension_gates
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
 from repro.costs import PlatformCosts
 
@@ -195,6 +197,68 @@ class TestSimulator:
             build_farm(2, BASE_COSTS, OPT_COSTS, extended_fraction=1.5)
 
 
+def _fresh_backlog(core, now):
+    """The backlog with no cache: a left-to-right re-sum of the queue."""
+    return max(0.0, core.busy_until - now) + sum(
+        est for _, est in core.queue)
+
+
+class TestBacklogCache:
+    def test_random_mutations_match_fresh_sum(self):
+        rng = random.Random(20021)
+        core = Core(0, _farm(1)[0])
+        expected_fifo = []
+        now = 0.0
+        for step in range(2000):
+            op = rng.random()
+            if op < 0.55:
+                request = SessionRequest(
+                    seq=step, arrival_cycle=now, protocol="ssl",
+                    size_bytes=1024, resumed=False, client_id=step)
+                # Mixed magnitudes, so summation order matters.
+                estimate = rng.choice((0.1, 1.0 / 3.0, 7.77e-3)) * \
+                    rng.choice((1.0, 1e3, 1e7, 3.3e9))
+                core.enqueue(request, estimate)
+                expected_fifo.append(request)
+            elif op < 0.9 and core.queue:
+                assert core.dequeue() is expected_fifo.pop(0)
+            elif op < 0.95:
+                assert core.drain() == expected_fifo
+                expected_fifo = []
+            else:
+                core.busy_until = now + rng.uniform(0.0, 1e6)
+            now += rng.uniform(0.0, 5e5)
+            assert core.backlog_cycles(now) == _fresh_backlog(core, now)
+            # A repeated probe is served from the cache.
+            assert core.backlog_cycles(now) == _fresh_backlog(core, now)
+
+    def test_least_loaded_under_core_down_matches_uncached(
+            self, monkeypatch):
+        plan = FaultPlan(events=(
+            FaultEvent(cycle=40e6, kind="core_down", core=1),
+            FaultEvent(cycle=90e6, kind="core_down", core=2),
+            FaultEvent(cycle=150e6, kind="core_up", core=1)))
+        requests = generate_requests(
+            TrafficProfile(arrival_rate=120.0, resumption_ratio=0.4),
+            300, seed=5)
+
+        def run():
+            sim = FarmSimulator(_farm(4), make_scheduler("least-loaded"),
+                                faults=plan)
+            result = sim.run(requests)
+            return result, [(c.request.seq, c.core_index, c.start_cycle,
+                             c.finish_cycle, c.cache_hit)
+                            for c in result.completions]
+
+        cached, cached_rows = run()
+        # The drain path ran: two core_down events displaced more than
+        # their (at most two) in-flight requests.
+        assert cached.redispatches > 2
+        monkeypatch.setattr(Core, "backlog_cycles", _fresh_backlog)
+        _, fresh_rows = run()
+        assert cached_rows == fresh_rows
+
+
 class TestSchedulers:
     def test_registry_and_factory(self):
         assert set(SCHEDULERS) == {"round-robin", "least-loaded",
@@ -245,7 +309,7 @@ class TestSchedulers:
         assert hits
         for c in hits:
             sid = session_id_for_client(c.request.client_id)
-            assert sid in result.cores[c.core_index].cache
+            assert sid in result.cores[c.core_index].cache_for("ssl")
 
     def test_affinity_can_be_disabled(self):
         result = _run(PreferentialScheduler(affinity=False),

@@ -1,5 +1,6 @@
 """Tests for performance characterization and macro-model estimation."""
 
+import numpy as np
 import pytest
 
 from repro.crypto.modexp import ModExpConfig, ModExpEngine
@@ -7,8 +8,9 @@ from repro.isa.kernels.modexp_kernel import ModExpKernel
 from repro.macromodel import characterize_platform, estimate_cycles
 from repro.macromodel.estimator import ledger
 from repro.macromodel.model import MacroModel, MacroModelSet
-from repro.macromodel.regression import (FitResult, fit_form, r_squared,
-                                         select_model)
+from repro.macromodel.persist import modelset_from_dict, modelset_to_dict
+from repro.macromodel.regression import (FORMS, FitResult, fit_form,
+                                         r_squared, select_model)
 from repro.mp import Mpz
 
 
@@ -63,6 +65,71 @@ class TestRegression:
         fit = FitResult(form="affine", coeffs=(4.0, 17.0), width=1,
                         mean_abs_pct_error=0, max_abs_pct_error=0)
         assert fit.predict(10) == pytest.approx(174.0)
+
+
+#: Awkward coefficients (not exactly representable), so a memo that
+#: evaluated the basis any other way than numpy would show up.
+_MEMO_COEFFS = (0.1, 1.0 / 3.0, 2.7e-3)
+_MEMO_SIZES = (0, 1, 2, 3, 7, 8, 9, 16, 33, 0.0, 2.5, 3.0, 16.75, 64.0)
+
+
+def _fit(form, width=1):
+    arity = FORMS[form](np.array([1.0]), width).shape[1]
+    return FitResult(form=form, coeffs=_MEMO_COEFFS[:arity], width=width,
+                     mean_abs_pct_error=1.5, max_abs_pct_error=4.0)
+
+
+def _numpy_predict(fit, n):
+    """The un-memoized evaluation: one numpy basis row times coeffs."""
+    basis = FORMS[fit.form](np.array([float(n)]), fit.width)
+    return float((basis @ np.array(fit.coeffs))[0])
+
+
+class TestPredictMemo:
+    @pytest.mark.parametrize("form,width", [
+        ("constant", 1), ("affine", 1), ("quadratic", 1),
+        ("step_affine", 4), ("step_affine", 8),
+        ("chunk_affine", 4), ("chunk_affine", 8)])
+    def test_memoized_equals_fresh_numpy(self, form, width):
+        fit = _fit(form, width)
+        for n in _MEMO_SIZES:
+            expected = _numpy_predict(fit, n)
+            # First call fills the slot, second is served from it.
+            assert fit.predict(n) == expected
+            assert fit.predict(n) == expected
+            assert type(fit.predict(n)) is float
+
+    def test_int_and_float_sizes_share_one_slot(self):
+        fit = _fit("quadratic")
+        first = fit.predict(3)
+        assert fit.predict(3.0) == first
+        assert len(fit._memo) == 1
+
+    def test_memo_is_not_part_of_equality_or_repr(self):
+        warm, cold = _fit("step_affine", 4), _fit("step_affine", 4)
+        for n in (1, 5, 9):
+            warm.predict(n)
+        assert warm._memo and not cold._memo
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        assert "_memo" not in repr(warm)
+
+    def test_persist_round_trip_unchanged(self):
+        models = MacroModelSet("memo")
+        models.add(MacroModel(routine="mpn_add_n",
+                              fit=_fit("chunk_affine", 4)))
+        models.add(MacroModel(routine="mpn_mul_1", fit=_fit("quadratic")))
+        before = modelset_to_dict(models)
+        for n in (1, 4, 8, 9):
+            models.predict("mpn_add_n", n)
+            models.predict("mpn_mul_1", n)
+        assert modelset_to_dict(models) == before
+        restored = modelset_from_dict(before)
+        for routine in models.routines():
+            assert restored.get(routine).fit == models.get(routine).fit
+            for n in (1, 4, 8, 9):
+                assert restored.predict(routine, n) == \
+                    models.predict(routine, n)
 
 
 @pytest.fixture(scope="module")

@@ -305,7 +305,8 @@ class TestSeededFarmTracing:
                 report.core_utilization[core.index])
         # Cache hits seen by spans match the cores' own counters.
         span_hits = sum(1 for s in spans if s.attrs["cache_hit"])
-        assert span_hits == sum(c.cache.hits for c in result.cores)
+        assert span_hits == sum(c.cache_for("ssl").hits
+                                for c in result.cores)
 
     def test_metrics_registry_agrees_with_farm_result(self):
         metrics = MetricsRegistry()
