@@ -19,9 +19,8 @@ architectural layer:
   :mod:`repro.macromodel.persist`) so a warm store characterizes
   zero times.
 
-``from repro.ssl.transaction import PlatformCosts`` and
-``from repro.ssl import PlatformCosts`` keep working via compat
-re-exports.
+Import :class:`PlatformCosts` and the protocol cost constants from
+here; :mod:`repro.ssl` no longer re-exports them.
 """
 
 from repro.costs.model import (CRC32_CYCLES_PER_BYTE,

@@ -1,20 +1,16 @@
 """One config object, one entry point for every farm simulation.
 
 The farm's knobs accreted across four surfaces --
-:class:`~repro.farm.simulator.FarmSimulator` construction,
-``run_sharded(...)``'s dozen keywords, the autoscale loop, and the CLI
-flags -- and every new capability (fault plans, SLO targets) would
-have widened all four.  :class:`FarmConfig` freezes the *description*
-of a run (cores, scheduler, workload, sharding, faults, SLOs) into one
-validated dataclass, and :func:`run_farm` is the single execution path
+:class:`~repro.farm.simulator.FarmSimulator` construction, the shard
+engine's dozen keywords, the autoscale loop, and the CLI flags -- and
+every new capability (fault plans, SLO targets) would have widened all
+four.  :class:`FarmConfig` freezes the *description* of a run (cores,
+scheduler, workload, sharding, faults, SLOs) into one validated
+dataclass, and :func:`run_farm` is the single execution path
 the CLI, the shard layer, the autoscale epochs, and the benchmark
 scenarios all route through.  Runtime resources that are not part of
 the run's identity (tracers, metric registries, executors) stay out of
 the config and ride as keyword arguments.
-
-The legacy entry points (``run_sharded``, ``simulate_autoscale``)
-survive as deprecation shims that build a config and delegate here
-bit-identically.
 """
 
 from dataclasses import dataclass, replace
@@ -42,9 +38,8 @@ class FarmConfig:
     """Everything that shapes a farm run's results.
 
     Workload comes either from ``requests`` (an explicit or replayed
-    stream) or from ``profile`` + ``n_requests`` (seeded generation);
-    exactly the same choice ``run_sharded`` offered, now validated at
-    construction instead of failing mid-run.  ``faults`` and ``slo``
+    stream) or from ``profile`` + ``n_requests`` (seeded generation),
+    validated at construction instead of failing mid-run.  ``faults`` and ``slo``
     are both optional: a config without them describes exactly the
     pre-chaos simulation (and reproduces it byte for byte).
     """
@@ -59,7 +54,6 @@ class FarmConfig:
     jobs: Optional[int] = None
     clock_hz: float = DEFAULT_CLOCK_HZ
     cache_capacity: int = 128
-    queue: str = "heap"
     faults: Optional[FaultPlan] = None
     slo: Optional[SloTarget] = None
     slo_window_seconds: float = 1.0
@@ -157,9 +151,8 @@ def run_farm(config: FarmConfig, *, tracer: Optional[Tracer] = None,
         list(config.specs), config.scheduler, profile=config.profile,
         n_requests=config.n_requests, shards=config.shards,
         seed=config.seed, clock_hz=config.clock_hz,
-        cache_capacity=config.cache_capacity, queue=config.queue,
-        jobs=config.jobs, executor=executor, tracer=tracer,
-        metrics=metrics,
+        cache_capacity=config.cache_capacity, jobs=config.jobs,
+        executor=executor, tracer=tracer, metrics=metrics,
         requests=(list(config.requests)
                   if config.requests is not None else None),
         faults=config.faults)

@@ -1,226 +1,38 @@
-"""Pending-event structures for the discrete-event simulator.
+"""The pending-event queue of the discrete-event simulator.
 
-The farm engine is agnostic about *how* its future events are stored:
-it pushes ``(time, kind, seq, core)`` tuples and pops them in total
-lexicographic order.  This module supplies that surface as an
-:class:`EventQueue` with two interchangeable implementations:
-
-- :class:`HeapEventQueue` -- the classic binary heap (``heapq``), the
-  default and the reference for pop-order semantics;
-- :class:`CalendarEventQueue` -- Brown's calendar queue (CACM 1988), a
-  time-wheel of sorted day buckets.  When event times are roughly
-  uniform over a window (Poisson arrivals plus service completions --
-  exactly the farm's traffic) both push and pop are amortized O(1)
-  instead of the heap's O(log n), which is what matters once a 64-core
-  shard keeps hundreds of completions in flight.
-
-Both structures pop in the **identical total order**: events are
-compared as whole tuples, so equal times fall back to the ``(kind,
-seq, core)`` tie-break and two simulations differing only in queue
-kind produce byte-identical results (property-tested in
-``tests/test_shard.py`` and gated by ``BENCH_farm_events``).
-
-The one contract beyond ordering: events may be pushed "into the past"
-(before the last popped time); the calendar queue rewinds its scan
-position so ordering still holds.  The farm simulator never does this
-(completions are scheduled at ``now + service``), but the property
-tests do.
+The farm engine pushes ``(time, kind, seq, core)`` tuples and pops
+them in total lexicographic order: equal times fall back to the
+``(kind, seq, core)`` tie-break, so two runs over the same inputs pop
+the same events in the same order.  :class:`HeapEventQueue` is a
+binary heap (``heapq``) with exactly that surface.
 """
 
 import heapq
-from bisect import insort
 from typing import Dict, List, Tuple, Type
 
-__all__ = ["EVENT_QUEUES", "CalendarEventQueue", "EventQueue",
-           "HeapEventQueue", "make_event_queue", "queue_kinds"]
-
-#: Minimum calendar size; shrink resizes never go below this.
-MIN_BUCKETS = 4
+__all__ = ["EVENT_QUEUES", "HeapEventQueue"]
 
 Event = Tuple  # (time, kind, seq, core) -- compared lexicographically
 
 
-class EventQueue:
-    """Total-order priority queue of event tuples."""
+class HeapEventQueue:
+    """Total-order priority queue of event tuples (``heapq``)."""
 
-    kind = "abstract"
+    def __init__(self):
+        self._heap: List[Event] = []
 
     def push(self, event: Event) -> None:
-        raise NotImplementedError
+        heapq.heappush(self._heap, event)
 
     def pop(self) -> Event:
         """Remove and return the least event (tuple order); raises
         :class:`IndexError` when empty."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def stats(self) -> Dict[str, float]:
-        """Deterministic operation counters (for the bench scenarios)."""
-        return {}
-
-
-class HeapEventQueue(EventQueue):
-    """``heapq`` wrapper -- the reference ordering."""
-
-    kind = "heap"
-
-    def __init__(self):
-        self._heap: List[Event] = []
-        self.pushes = 0
-        self.pops = 0
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-        self.pushes += 1
-
-    def pop(self) -> Event:
-        event = heapq.heappop(self._heap)
-        self.pops += 1
-        return event
+        return heapq.heappop(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def stats(self) -> Dict[str, float]:
-        return {"kind": self.kind, "pushes": float(self.pushes),
-                "pops": float(self.pops)}
 
-
-class CalendarEventQueue(EventQueue):
-    """Calendar queue: a ring of ``bucket_width``-wide day buckets.
-
-    An event at time ``t`` lives in bucket ``int(t / width) % count``,
-    kept sorted by :func:`bisect.insort` so ties resolve in full tuple
-    order.  ``pop`` scans at most one "year" (one lap of the ring) of
-    windows ahead of the last popped event; a sparse queue falls back
-    to one direct minimum search and jumps the calendar there.  The
-    ring doubles when occupancy exceeds two events per bucket and
-    halves below one per two buckets, re-deriving the bucket width
-    from the average separation of the pending events (Brown's rule),
-    so both scan length and in-bucket insertion stay O(1) amortized.
-
-    All state transitions depend only on the pushed events, never on
-    timing, so operation counters (:meth:`stats`) are byte-stable.
-    """
-
-    kind = "calendar"
-
-    def __init__(self, bucket_count: int = MIN_BUCKETS,
-                 bucket_width: float = 1.0):
-        if bucket_count < 1:
-            raise ValueError("bucket_count must be positive")
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self._n = 0
-        self.pushes = 0
-        self.pops = 0
-        self.scans = 0
-        self.resizes = 0
-        self.direct_searches = 0
-        self._setup(bucket_count, float(bucket_width), 0.0)
-
-    # -- internal layout ---------------------------------------------------
-
-    def _setup(self, count: int, width: float, position: float) -> None:
-        self._buckets: List[List[Event]] = [[] for _ in range(count)]
-        self._count = count
-        self._width = width
-        # The scan position is an integer *day* (window index), not an
-        # accumulated float top, so window bounds are computed fresh at
-        # each step and never drift.
-        self._day = self._day_of(position)
-
-    def _day_of(self, time: float) -> int:
-        return int(time / self._width)
-
-    def _bucket_of(self, time: float) -> int:
-        return self._day_of(time) % self._count
-
-    def _resize(self, new_count: int) -> None:
-        events: List[Event] = []
-        for bucket in self._buckets:
-            events.extend(bucket)
-        events.sort()
-        width = self._width
-        if len(events) > 1:
-            span = events[-1][0] - events[0][0]
-            if span > 0:
-                # ~three events per day keeps buckets short and scans
-                # rarely empty (Brown's sizing rule).
-                width = span / len(events) * 3.0
-        self.resizes += 1
-        self._setup(new_count, width, events[0][0] if events else 0.0)
-        for event in events:           # sorted append keeps buckets sorted
-            self._buckets[self._bucket_of(event[0])].append(event)
-
-    # -- queue surface -----------------------------------------------------
-
-    def push(self, event: Event) -> None:
-        time = event[0]
-        insort(self._buckets[self._bucket_of(time)], event)
-        self._n += 1
-        self.pushes += 1
-        # A push into the calendar's past rewinds the scan so pop order
-        # remains the total tuple order.
-        if self._day_of(time) < self._day:
-            self._day = self._day_of(time)
-        if self._n > 2 * self._count:
-            self._resize(2 * self._count)
-
-    def pop(self) -> Event:
-        if not self._n:
-            raise IndexError("pop from empty event queue")
-        day = self._day
-        for _ in range(self._count):
-            self.scans += 1
-            bucket = self._buckets[day % self._count]
-            if bucket and self._day_of(bucket[0][0]) <= day:
-                event = bucket.pop(0)
-                self._n -= 1
-                self.pops += 1
-                self._day = day
-                if self._count > MIN_BUCKETS and self._n < self._count // 2:
-                    self._resize(max(MIN_BUCKETS, self._count // 2))
-                return event
-            day += 1
-        # A whole year scanned dry: jump to the earliest pending event
-        # (its own day always matches, so the rescan hits immediately).
-        self.direct_searches += 1
-        earliest = min(bucket[0] for bucket in self._buckets if bucket)
-        self._day = self._day_of(earliest[0])
-        return self.pop()
-
-    def __len__(self) -> int:
-        return self._n
-
-    def stats(self) -> Dict[str, float]:
-        return {"kind": self.kind, "pushes": float(self.pushes),
-                "pops": float(self.pops), "scans": float(self.scans),
-                "resizes": float(self.resizes),
-                "direct_searches": float(self.direct_searches),
-                "buckets": float(self._count)}
-
-
-EVENT_QUEUES: Dict[str, Type[EventQueue]] = {
-    HeapEventQueue.kind: HeapEventQueue,
-    CalendarEventQueue.kind: CalendarEventQueue,
-}
-
-
-def make_event_queue(kind: str = "heap", **kwargs) -> EventQueue:
-    """Instantiate an event queue by registry name."""
-    try:
-        cls = EVENT_QUEUES[kind]
-    except KeyError:
-        raise ValueError(f"unknown event queue {kind!r}; "
-                         f"known: {sorted(EVENT_QUEUES)}") from None
-    return cls(**kwargs)
-
-
-def queue_kinds() -> List[str]:
-    return list(EVENT_QUEUES)
+#: Every event-queue class, by name (instrumentation wraps each one's
+#: ``push``/``pop``).
+EVENT_QUEUES: Dict[str, Type[HeapEventQueue]] = {"heap": HeapEventQueue}

@@ -1,7 +1,7 @@
 """JSONL workload traces: export a request stream, replay it anywhere.
 
-Comparing schedulers, core mixes, or event-queue kinds is only honest
-when every configuration serves the *same* traffic.  Seeded generation
+Comparing schedulers or core mixes is only honest when every
+configuration serves the *same* traffic.  Seeded generation
 already guarantees that in-process; a trace file extends the guarantee
 across processes, CI jobs, and repo versions: one header line of
 metadata, then one JSON record per :class:`~repro.farm.workload.

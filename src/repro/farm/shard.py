@@ -35,9 +35,8 @@ once, in the parent, through
 """
 
 import time
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.mp import DeterministicPrng
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
@@ -52,7 +51,7 @@ from repro.farm.workload import (SessionRequest, TrafficProfile,
                                  _generate_stream, generate_requests)
 
 __all__ = ["ShardedRun", "merge_results", "partition_requests",
-           "run_sharded", "shard_workload"]
+           "shard_workload"]
 
 
 def shard_workload(profile: TrafficProfile, n_requests: int,
@@ -153,31 +152,18 @@ def merge_results(shard_results: Sequence[FarmResult]) -> FarmResult:
         fault_events=sum(r.fault_events for r in shard_results))
 
 
-def _merge_queue_stats(stats: Sequence[Dict[str, float]]
-                       ) -> Dict[str, float]:
-    """Sum per-shard event-queue counters (``kind`` passes through)."""
-    merged: Dict[str, float] = {}
-    for entry in stats:
-        for key, value in entry.items():
-            if key == "kind":
-                merged[key] = value
-            else:
-                merged[key] = merged.get(key, 0.0) + value
-    return merged
-
-
 def _simulate_shard(task):
     """Run one shard (module-level so process pools can pickle it)."""
     (specs, scheduler_name, requests, clock_hz, cache_capacity,
-     queue, faults) = task
+     faults) = task
     simulator = FarmSimulator(specs, make_scheduler(scheduler_name),
                               clock_hz=clock_hz,
-                              cache_capacity=cache_capacity, queue=queue,
+                              cache_capacity=cache_capacity,
                               faults=faults)
     start = time.perf_counter()
     result = simulator.run(requests)
     wall = time.perf_counter() - start
-    return result, simulator.last_queue_stats, wall
+    return result, wall
 
 
 @dataclass
@@ -188,8 +174,6 @@ class ShardedRun:
     shards: int
     jobs: int
     executor: str
-    queue: str
-    queue_stats: Dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0          # parent wall clock
     shard_wall_seconds: float = 0.0    # summed per-shard wall clocks
 
@@ -206,7 +190,7 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
                  profile: TrafficProfile = None, n_requests: int = None,
                  shards: int = 1, seed: int = 1,
                  clock_hz: float = DEFAULT_CLOCK_HZ,
-                 cache_capacity: int = 128, queue: str = "heap",
+                 cache_capacity: int = 128,
                  jobs: Optional[int] = None,
                  executor: Optional[Executor] = None,
                  tracer: Optional[Tracer] = None,
@@ -227,7 +211,7 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
     (:meth:`~repro.farm.faults.FaultPlan.subplan_strided` follows the
     same core ownership), and shard count -- not jobs count --
     is the only thing that shapes results: the same ``(profile,
-    n_requests, shards, seed, queue, faults)`` tuple reproduces
+    n_requests, shards, seed, faults)`` tuple reproduces
     identical merged metrics under any executor.
 
     ``shards=1`` short-circuits to one in-process simulator run with
@@ -253,30 +237,28 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
                                   clock_hz=clock_hz,
                                   cache_capacity=cache_capacity,
                                   tracer=tracer, metrics=metrics,
-                                  queue=queue, faults=faults)
+                                  faults=faults)
         result = simulator.run(workloads[0])
         wall = time.perf_counter() - start
         return ShardedRun(result=result, shards=1, jobs=1,
-                          executor="serial", queue=queue,
-                          queue_stats=dict(simulator.last_queue_stats),
-                          wall_seconds=wall, shard_wall_seconds=wall)
+                          executor="serial", wall_seconds=wall,
+                          shard_wall_seconds=wall)
     # Shard i owns the cores at stride `shards` (specs[i::shards]), so
     # a heterogeneous farm's extended/base mix spreads evenly across
     # shards and the merged farm has exactly the original core count.
     # The fault plan shards under the same ownership map.
     tasks = [(list(specs[i::shards]), scheduler_name, workloads[i],
-              clock_hz, cache_capacity, queue,
+              clock_hz, cache_capacity,
               faults.subplan_strided(shards, i) if faults else None)
              for i in range(shards)]
     root = (tracer.open_virtual("farm.sharded", 0.0,
-                                scheduler=scheduler_name, shards=shards,
-                                queue=queue)
+                                scheduler=scheduler_name, shards=shards)
             if trace else None)
     with executor_scope(jobs, executor) as pool:
         outcomes = pool.map(_simulate_shard, tasks, label="farm.shard")
         kind, pool_jobs = pool.kind, pool.jobs
     wall = time.perf_counter() - start
-    shard_results = [result for result, _, _ in outcomes]
+    shard_results = [result for result, _ in outcomes]
     if trace:
         for i, shard_result in enumerate(shard_results):
             tracer.record(
@@ -292,42 +274,6 @@ def _run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
         publish_metrics(merged, metrics)
     return ShardedRun(
         result=merged, shards=shards, jobs=pool_jobs, executor=kind,
-        queue=queue,
-        queue_stats=_merge_queue_stats([stats for _, stats, _
-                                        in outcomes]),
         wall_seconds=wall,
-        shard_wall_seconds=sum(shard_wall for _, _, shard_wall
+        shard_wall_seconds=sum(shard_wall for _, shard_wall
                                in outcomes))
-
-
-def run_sharded(specs: Sequence[CoreSpec], scheduler_name: str,
-                profile: TrafficProfile = None, n_requests: int = None,
-                shards: int = 1, seed: int = 1,
-                clock_hz: float = DEFAULT_CLOCK_HZ,
-                cache_capacity: int = 128, queue: str = "heap",
-                jobs: Optional[int] = None,
-                executor: Optional[Executor] = None,
-                tracer: Optional[Tracer] = None,
-                metrics: Optional[MetricsRegistry] = None,
-                requests: Optional[Sequence[SessionRequest]] = None
-                ) -> ShardedRun:
-    """Deprecated: build a :class:`repro.farm.config.FarmConfig` and
-    call :func:`repro.farm.config.run_farm` instead.
-
-    This shim delegates through the facade bit-identically (gated by
-    a regression test), so existing callers keep their exact results
-    while the knobs live in one config object.
-    """
-    warnings.warn(
-        "run_sharded(...) is deprecated; build a FarmConfig and call "
-        "repro.farm.run_farm(config) instead",
-        DeprecationWarning, stacklevel=2)
-    from repro.farm.config import FarmConfig, run_farm
-    config = FarmConfig(
-        specs=tuple(specs), scheduler=scheduler_name, profile=profile,
-        n_requests=n_requests,
-        requests=tuple(requests) if requests is not None else None,
-        shards=shards, seed=seed, jobs=jobs, clock_hz=clock_hz,
-        cache_capacity=cache_capacity, queue=queue)
-    return run_farm(config, tracer=tracer, metrics=metrics,
-                    executor=executor).sharded

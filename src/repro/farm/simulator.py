@@ -27,7 +27,7 @@ from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.protocols import get_protocol
 from repro.ssl.session_cache import SessionCache
 from repro.ssl.throughput import DEFAULT_CLOCK_HZ
-from repro.farm.events import make_event_queue
+from repro.farm.events import HeapEventQueue
 from repro.farm.faults import FaultPlan
 from repro.farm.workload import SessionRequest, cost_of
 
@@ -232,7 +232,6 @@ class FarmSimulator:
                  cache_capacity: int = 128,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 queue: str = "heap",
                  faults: Optional[FaultPlan] = None,
                  sampler=None):
         if not specs:
@@ -243,7 +242,6 @@ class FarmSimulator:
         self.cache_capacity = cache_capacity
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.queue = queue
         self.faults = faults
         #: Optional live time-series recorder (e.g. a
         #: :class:`repro.farm.timeseries.FarmSeriesRecorder`): its
@@ -251,9 +249,6 @@ class FarmSimulator:
         #: emission order.  The caller owns ``finish()`` -- the
         #: simulator never closes the series.
         self.sampler = sampler
-        #: Operation counters of the last run's event queue (see
-        #: :meth:`repro.farm.events.EventQueue.stats`).
-        self.last_queue_stats: Dict[str, float] = {}
 
     def run(self, requests: Sequence[SessionRequest]) -> FarmResult:
         cores = [Core(i, spec, self.cache_capacity)
@@ -270,7 +265,7 @@ class FarmSimulator:
                                     scheduler=sched_name)
                 if trace else None)
         root_id = root.span_id if trace else None
-        heap = make_event_queue(self.queue)
+        heap = HeapEventQueue()
         plan = self.faults
         if plan is not None:
             for order, event in enumerate(plan.events):
@@ -391,7 +386,6 @@ class FarmSimulator:
             if not core.up and core.down_since is not None:
                 core.down_cycles += max(0.0, makespan - core.down_since)
                 core.down_since = makespan
-        self.last_queue_stats = heap.stats()
         result = FarmResult(completions=completions, cores=cores,
                             makespan_cycles=makespan,
                             clock_hz=self.clock_hz,

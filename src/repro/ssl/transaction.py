@@ -17,28 +17,10 @@ both platforms and the speedup saturates near
 (sym+misc)_base / (sym+misc)_opt -- the paper's ~3x plateau.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.costs.model import PlatformCosts as _PlatformCosts
-
-# PlatformCosts historically lived here; it is now the heart of the
-# unified cost layer (repro.costs).  The old names are kept importable
-# through a deprecation shim below -- update callers to repro.costs.
-_MOVED_TO_COSTS = ("PlatformCosts", "PROTOCOL_CYCLES_PER_BYTE",
-                   "PROTOCOL_FIXED_CYCLES")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_COSTS:
-        warnings.warn(
-            f"importing {name} from repro.ssl.transaction is deprecated; "
-            f"import it from repro.costs instead",
-            DeprecationWarning, stacklevel=2)
-        from repro import costs
-        return getattr(costs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.costs.model import PlatformCosts
 
 #: Handshake bytes hashed into the transcript (hellos, certificate,
 #: key exchange, Finished) -- a representative fixed workload.
@@ -67,13 +49,13 @@ class TransactionBreakdown:
 class SslWorkloadModel:
     """Computes Figure 8: SSL transaction speedup vs session size."""
 
-    def __init__(self, base_costs: _PlatformCosts,
-                 optimized_costs: _PlatformCosts):
+    def __init__(self, base_costs: PlatformCosts,
+                 optimized_costs: PlatformCosts):
         self.base_costs = base_costs
         self.optimized_costs = optimized_costs
 
     @staticmethod
-    def breakdown(costs: _PlatformCosts, size_bytes: int,
+    def breakdown(costs: PlatformCosts, size_bytes: int,
                   resumed: bool = False) -> TransactionBreakdown:
         if resumed:
             # Abbreviated handshake (cached session keys, paper ref.
@@ -100,7 +82,7 @@ class SslWorkloadModel:
                              resumed).total
         return base / opt
 
-    def resumption_gain(self, costs: _PlatformCosts,
+    def resumption_gain(self, costs: PlatformCosts,
                         size_bytes: int) -> float:
         """How much cheaper a resumed transaction is than a full one
         on the same platform (the session-caching payoff of [27])."""

@@ -2,8 +2,8 @@
 
 Covers the characterization cache (memo + disk store), the pluggable
 backends and their cross-validation, the extended PlatformCosts
-vocabulary (ECDH + per-protocol overheads), and the backward-compat
-re-exports from repro.ssl.
+vocabulary (ECDH + per-protocol overheads), and the cost constants
+still re-exported from repro.farm.workload.
 """
 
 import json
@@ -38,23 +38,6 @@ def counted_characterize(monkeypatch):
 
 
 class TestCompatReexports:
-    def test_platformcosts_import_paths_are_one_class(self):
-        from repro.costs import PlatformCosts as from_costs
-        with pytest.warns(DeprecationWarning, match="repro.costs"):
-            from repro.ssl import PlatformCosts as from_ssl
-        with pytest.warns(DeprecationWarning, match="repro.costs"):
-            from repro.ssl.transaction import PlatformCosts as from_transaction
-        assert from_costs is from_ssl is from_transaction
-
-    def test_protocol_constants_shimmed_with_warning(self):
-        import repro.costs
-        import repro.ssl.transaction as txn
-        with pytest.warns(DeprecationWarning, match="repro.costs"):
-            assert txn.PROTOCOL_FIXED_CYCLES == \
-                repro.costs.PROTOCOL_FIXED_CYCLES
-        with pytest.raises(AttributeError):
-            txn.does_not_exist
-
     def test_workload_constants_still_importable(self):
         from repro.farm.workload import (CRC32_CYCLES_PER_BYTE,
                                          RC4_CYCLES_PER_BYTE)

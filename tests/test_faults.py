@@ -5,7 +5,6 @@ Same frozen measured unit costs as ``test_farm.py`` -- fault handling
 is a pure function of these numbers, so no ISS characterization runs.
 """
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -15,8 +14,7 @@ from repro.farm import (AutoscalePolicy, FarmConfig, FarmSimulator,
                         FaultEvent, FaultPlan, TrafficProfile,
                         build_farm, generate_fault_plan,
                         generate_requests, make_scheduler,
-                        run_autoscale, run_farm, run_sharded,
-                        simulate_autoscale, summarize)
+                        run_autoscale, run_farm)
 from repro.farm.faults import summarize_faults
 from repro.farm.workload import SessionRequest
 from repro.obs.slo import SloTarget
@@ -428,46 +426,6 @@ class TestFarmConfig:
         assert run.slo is not None
         assert run.slo.windows_violated > 0
         assert run.slo.attainment < 1.0
-
-
-class TestDeprecatedShims:
-    def test_run_sharded_delegates_bit_identically(self):
-        specs = _farm(8, 0.5)
-        profile = TrafficProfile(arrival_rate=120.0, clients=64)
-        with pytest.deprecated_call():
-            legacy = run_sharded(specs, "preferential", profile, 200,
-                                 shards=4, seed=1)
-        direct = run_farm(FarmConfig(
-            specs=tuple(specs), scheduler="preferential",
-            profile=profile, n_requests=200, shards=4,
-            seed=1)).sharded
-        assert legacy.result.completions == direct.result.completions
-        assert legacy.result.makespan_cycles == \
-            direct.result.makespan_cycles
-        assert summarize(legacy.result).as_dict() == \
-            summarize(direct.result).as_dict()
-
-    def test_simulate_autoscale_delegates_bit_identically(self):
-        specs = _farm(8, 0.5)
-        profile = TrafficProfile(arrival_rate=150.0)
-        slo = SloTarget(p99_ms=50.0)
-        with pytest.deprecated_call():
-            legacy = simulate_autoscale(specs, "preferential", profile,
-                                        slo=slo, n_epochs=6,
-                                        curve="bursty", seed=2)
-        direct = run_autoscale(
-            FarmConfig(specs=tuple(specs), scheduler="preferential",
-                       profile=profile, seed=2, slo=slo),
-            n_epochs=6, curve="bursty")
-        assert legacy.as_dict() == direct.as_dict()
-
-    def test_slo_target_import_shim_warns(self):
-        from repro.farm import autoscale
-        with pytest.deprecated_call():
-            shimmed = autoscale.SloTarget
-        assert shimmed is SloTarget
-        with pytest.raises(AttributeError):
-            autoscale.no_such_name
 
 
 class TestAutoscaleUnderFaults:
